@@ -35,10 +35,10 @@ class ModelParams:
     theta0: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
         if not (-HALF_PI <= self.theta0 < HALF_PI):
             raise ValueError(
                 f"theta0 must lie in [-pi/2, pi/2), got {self.theta0}"

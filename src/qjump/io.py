@@ -47,16 +47,6 @@ def write_json(path, payload: dict, config: dict, timestamp: bool = True):
         fh.write("\n")
 
 
-def write_field_csv(field, path, config: dict, timestamp: bool = True):
-    """Snapshot export: columns theta_center, p."""
-    write_csv(
-        path,
-        {"theta_center": field.grid.centers, "p": field.values},
-        config,
-        timestamp,
-    )
-
-
 def write_series_csv(result, path, config: dict, timestamp: bool = True):
     """Population time-series export: columns t, rho0, rho1."""
     write_csv(

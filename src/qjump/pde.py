@@ -92,7 +92,9 @@ def max_stable_dt(params: ModelParams, grid: ThetaGrid, cfl: float = DEFAULT_CFL
         raise ValueError("cfl must lie in (0, 1]")
     dt = MAX_GAMMA_DT / params.gamma
     if params.omega > 0:
-        dt = min(dt, cfl * grid.cell_width / (0.5 * params.omega))
+        # not cfl*w/(0.5*omega): halving a subnormal omega underflows to 0;
+        # dividing by it overflows to inf, which min() ignores
+        dt = min(dt, 2.0 * cfl * grid.cell_width / params.omega)
     return dt
 
 

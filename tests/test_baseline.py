@@ -127,7 +127,7 @@ class TestDelayFunction:
         tau = np.linspace(0, 15, 400)
         d = baseline.delay_function(p, tau)
         oracle = p.gamma * np.abs(closed_form_excited_amplitude(p, tau)) ** 2
-        assert np.max(np.abs(d.density - oracle)) < 1e-6
+        assert np.max(np.abs(d.density - oracle)) < 1e-12
 
     def test_overdamped_closed_form(self):
         # gamma > 2*omega: lambda is imaginary and sinc becomes sinh-like
@@ -135,7 +135,47 @@ class TestDelayFunction:
         tau = np.linspace(0, 40, 300)
         d = baseline.delay_function(p, tau)
         oracle = p.gamma * np.abs(closed_form_excited_amplitude(p, tau)) ** 2
-        assert np.max(np.abs(d.density - oracle)) < 1e-8
+        assert np.max(np.abs(d.density - oracle)) < 1e-12
+
+    def test_critical_damping_closed_form(self):
+        # omega = gamma/2: lambda = 0, where the two eigenmodes coalesce
+        p = ModelParams(0.5, 1.0)
+        tau = np.linspace(0, 30, 500)
+        d = baseline.delay_function(p, tau)
+        oracle = p.gamma * np.abs(closed_form_excited_amplitude(p, tau)) ** 2
+        assert np.max(np.abs(d.density - oracle)) < 1e-12
+
+    def test_non_uniform_grid_closed_form(self):
+        # every spacing differs, so every step takes its own propagator
+        p = ModelParams(3.33, 1.0)
+        rng = np.random.default_rng(5)
+        tau = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 5.0, 400))])
+        assert np.unique(np.diff(tau)).size > 300
+        d = baseline.delay_function(p, tau)
+        oracle = p.gamma * np.abs(closed_form_excited_amplitude(p, tau)) ** 2
+        assert np.max(np.abs(d.density - oracle)) < 1e-12
+
+    def test_agrees_with_truncated_rk4(self):
+        p = ModelParams(3.33, 1.0)
+        times, states = baseline.integrate(
+            DensityMatrix2.ground(), p, 15.0, 0.005, truncated=True
+        )
+        rk4 = p.gamma * np.array([s.rho_ee for s in states])
+        d = baseline.delay_function(p, times)
+        assert np.max(np.abs(d.density - rk4)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "omega, gamma, tau",
+        [
+            (100.0, 1.0, np.linspace(0, 20, 20001)),
+            (10.0, 1e4, np.linspace(0, 200, 2001)),
+        ],
+    )
+    def test_extreme_ratios_stay_sub_probability(self, omega, gamma, tau):
+        d = baseline.delay_function(ModelParams(omega, gamma), tau)
+        assert np.all(np.isfinite(d.density))
+        assert np.all(d.density >= 0)
+        assert d.integral() <= 1.0
 
     def test_rejects_bad_grid(self):
         p = ModelParams(1.0, 1.0)

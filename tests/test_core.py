@@ -26,6 +26,16 @@ class TestParams:
         with pytest.raises(ValueError):
             ModelParams(-0.5, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_omega(self, value):
+        with pytest.raises(ValueError, match="omega"):
+            ModelParams(value, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, value):
+        with pytest.raises(ValueError, match="gamma"):
+            ModelParams(1.0, value)
+
     def test_rejects_theta0_outside_cell(self):
         with pytest.raises(ValueError):
             ModelParams(1.0, 1.0, HALF_PI)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qjump import core, pde
@@ -86,6 +86,7 @@ class TestStep:
         st.floats(0.1, 5.0),
         st.lists(st.floats(0.0, 3.0), min_size=32, max_size=32),
     )
+    @example(omega=5e-324, gamma=1.0, raw=[1.0] * 32)
     def test_mass_conservation_property(self, omega, gamma, raw):
         if sum(raw) == 0:
             raw[0] = 1.0
@@ -98,6 +99,12 @@ class TestStep:
             f = pde.step(f, p, dt)
         assert f.total_mass() == pytest.approx(1.0, abs=1e-12)
         assert np.all(f.values >= 0)
+
+    def test_max_stable_dt_with_subnormal_omega(self):
+        # 0.5 * omega underflows to 0; the gamma bound must still apply
+        g = ThetaGrid(32)
+        p = ModelParams(5e-324, 2.0)
+        assert pde.max_stable_dt(p, g) == pde.MAX_GAMMA_DT / p.gamma
 
 
 class TestPopulations:
