@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: delay | pde | mc | baseline | sweep | fig1.  Every output file
-embeds the full configuration (and seed) in its header; pass --no-timestamp
-for byte-identical reruns.  QJUMP_THREADS caps Monte Carlo parallelism.
+Subcommands: delay | pde | mc | baseline | sweep | fig1 | duality.  Each
+runner returns (columns, scalars), or one pair per panel for fig1, and one
+writer emits them: CSV as a table with the scalars in the '# key=value'
+header, JSON as lists followed by the scalars.  Every output file embeds the
+full configuration (and seed) in its header; pass --no-timestamp for
+byte-identical reruns.  QJUMP_THREADS caps Monte Carlo parallelism.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class RunConfig:
     gamma_min: float | None = None
     gamma_max: float | None = None
     sweep_points: int = 9
+    sizes: tuple = ()
 
     def params(self) -> core.ModelParams:
         return core.ModelParams(self.omega, self.gamma, self.theta0)
@@ -57,6 +61,16 @@ class RunConfig:
         return {k: getattr(self, k) for k in keys}
 
 
+# model flags, each given only to the subcommands whose runner reads it
+_MODEL_FLAGS = {
+    "omega": dict(type=float, default=1.0, help="Rabi frequency"),
+    "gamma": dict(type=float, default=1.0, help="emission coefficient"),
+    "theta0": dict(type=float, default=0.0, help="initial angle (rad)"),
+    "seed": dict(type=int, default=0),
+    "semantics": dict(choices=["literal", "emission"], default="literal"),
+}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="qjump",
@@ -65,10 +79,9 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, seed=False, semantics=False):
-        sp.add_argument("--omega", type=float, default=1.0, help="Rabi frequency")
-        sp.add_argument("--gamma", type=float, default=1.0, help="emission coefficient")
-        sp.add_argument("--theta0", type=float, default=0.0, help="initial angle (rad)")
+    def common(sp, *model_flags):
+        for flag in model_flags:
+            sp.add_argument(f"--{flag}", **_MODEL_FLAGS[flag])
         sp.add_argument("--out", dest="out_path", default="out.csv", help="output file")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
         sp.add_argument(
@@ -77,44 +90,50 @@ def _build_parser():
             action="store_false",
             help="omit the timestamp header line (byte-identical reruns)",
         )
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
-        if semantics:
-            sp.add_argument(
-                "--semantics", choices=["literal", "emission"], default="literal"
-            )
 
     sp = sub.add_parser("delay", help="analytic inter-emission density curve")
-    common(sp)
+    common(sp, "omega", "gamma")
     sp.add_argument("--horizon", type=float, default=None, help="tau-grid span")
     sp.add_argument("--n", type=int, default=2000, help="tau-grid points")
 
     sp = sub.add_parser("pde", help="forward-equation solve (population series)")
-    common(sp)
+    common(sp, "omega", "gamma", "theta0")
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=pde.DEFAULT_N_CELLS)
     sp.add_argument("--horizon", type=float, default=10.0, help="end time")
     sp.add_argument("--dt", type=float, default=None, help="time step (default: stable)")
 
     sp = sub.add_parser("mc", help="Monte Carlo trajectory ensemble")
-    common(sp, seed=True, semantics=True)
+    common(sp, "omega", "gamma", "theta0", "seed", "semantics")
     sp.add_argument("--n", type=int, default=1000, help="number of trajectories")
     sp.add_argument("--horizon", type=float, default=20.0)
 
     sp = sub.add_parser("baseline", help="truncated-Lindblad delay function curve")
-    common(sp)
+    common(sp, "omega", "gamma")
     sp.add_argument("--horizon", type=float, default=None, help="tau-grid span")
     sp.add_argument("--n", type=int, default=2000, help="tau-grid points")
 
     sp = sub.add_parser("sweep", help="mean-delay scaling sweep over gamma")
-    common(sp)
+    common(sp, "omega")
     sp.add_argument("--gamma-min", type=float, default=None, help="default 4*omega")
     sp.add_argument("--gamma-max", type=float, default=None, help="default 64*omega")
     sp.add_argument("--sweep-points", type=int, default=9)
 
     sp = sub.add_parser("fig1", help="waiting-time vs delay-function comparison curves")
-    common(sp)
+    common(sp, "gamma")
     sp.add_argument("--panel", choices=["a", "b", "both"], default="both")
     sp.add_argument("--n", type=int, default=4000, help="tau-grid points")
+
+    sp = sub.add_parser(
+        "duality", help="Monte Carlo vs forward-equation L1 by ensemble size"
+    )
+    common(sp, "omega", "gamma", "seed")
+    sp.add_argument("--grid-n", dest="grid_n", type=int)
+    sp.add_argument("--horizon", type=float, help="time at which the laws are compared")
+    sp.add_argument("--sizes", type=int, nargs="+", help="ensemble sizes")
+    sp.set_defaults(
+        omega=3.33, gamma=1.0, seed=99, grid_n=128, horizon=5.0,
+        sizes=[1_000, 10_000, 100_000],
+    )
     return p
 
 
@@ -136,21 +155,10 @@ def _delay_grid(cfg: RunConfig, params: core.ModelParams):
     return np.linspace(0.0, span, cfg.n)
 
 
-def _emit(cfg, columns_or_payload, as_csv=True):
-    if as_csv:
-        io.write_csv(cfg.out_path, columns_or_payload, cfg.header(), cfg.timestamp)
-    else:
-        io.write_json(cfg.out_path, columns_or_payload, cfg.header(), cfg.timestamp)
-
-
 def _run_delay(cfg: RunConfig):
     params = cfg.params()
     tau = _delay_grid(cfg, params)
-    dens = core.waiting_time_density(tau, params)
-    if cfg.format == "csv":
-        _emit(cfg, {"tau": tau, "density": dens})
-    else:
-        _emit(cfg, {"tau": tau.tolist(), "density": dens.tolist()}, as_csv=False)
+    return {"tau": tau, "density": core.waiting_time_density(tau, params)}, {}
 
 
 def _run_pde(cfg: RunConfig):
@@ -158,38 +166,30 @@ def _run_pde(cfg: RunConfig):
     grid = pde.ThetaGrid(cfg.grid_n)
     dt = cfg.dt if cfg.dt is not None else pde.max_stable_dt(params, grid)
     result = pde.solve(params, grid, cfg.horizon, dt)
-    if cfg.format == "csv":
-        io.write_series_csv(result, cfg.out_path, cfg.header(), cfg.timestamp)
-    else:
-        _emit(
-            cfg,
-            {
-                "t": result.times.tolist(),
-                "rho0": result.rho0.tolist(),
-                "rho1": result.rho1.tolist(),
-            },
-            as_csv=False,
-        )
+    return {"t": result.times, "rho0": result.rho0, "rho1": result.rho1}, {}
 
 
 def _run_mc(cfg: RunConfig):
+    """CSV gets the emission table, JSON the ensemble summary."""
     params = cfg.params()
     records = mc.ensemble_records(
         params, cfg.jump_semantics(), cfg.horizon, cfg.seed, cfg.n
     )
+    counts = [r.times.size for r in records]
     if cfg.format == "csv":
-        io.write_emissions_csv(records, cfg.out_path, cfg.header(), cfg.timestamp)
-        return
+        return {
+            "trajectory_id": np.repeat(np.arange(len(records), dtype=float), counts),
+            "emission_time": np.concatenate([r.times for r in records]),
+        }, {}
     gaps = mc.interarrival_samples(records)
-    payload = {
+    return {}, {
         "n_trajectories": cfg.n,
         "semantics": cfg.semantics,
         "ever_emitted_fraction": mc.ever_emitted_fraction(records),
-        "total_emissions": int(sum(r.times.size for r in records)),
+        "total_emissions": int(sum(counts)),
         "interarrival_mean": float(np.mean(gaps)) if gaps.size else None,
         "interarrival_var": float(np.var(gaps)) if gaps.size else None,
     }
-    _emit(cfg, payload, as_csv=False)
 
 
 def _run_baseline(cfg: RunConfig):
@@ -198,14 +198,7 @@ def _run_baseline(cfg: RunConfig):
     if span <= 0:
         span = FIG1_SPANS["a" if params.omega >= params.gamma else "b"] / params.gamma
     dist = baseline.delay_function(params, np.linspace(0.0, span, cfg.n))
-    if cfg.format == "csv":
-        _emit(cfg, {"tau": dist.tau_grid, "ell_q": dist.density})
-    else:
-        _emit(
-            cfg,
-            {"tau": dist.tau_grid.tolist(), "ell_q": dist.density.tolist()},
-            as_csv=False,
-        )
+    return {"tau": dist.tau_grid, "ell_q": dist.density}, {}
 
 
 def _run_sweep(cfg: RunConfig):
@@ -223,59 +216,78 @@ def _run_sweep(cfg: RunConfig):
     tau_q = np.array(
         [core.dressed_delay_scale(core.ModelParams(omega, g)) for g in gammas]
     )
-    if cfg.format == "csv":
-        header = cfg.header()
-        header["fit_exponent"] = exponent
-        header["fit_r_squared"] = r2
-        io.write_csv(
-            cfg.out_path,
-            {"gamma": gammas, "mean_delay": means, "tau_k": tau_k, "tau_q": tau_q},
-            header,
-            cfg.timestamp,
-        )
-    else:
-        _emit(
-            cfg,
-            {
-                "gamma": gammas.tolist(),
-                "mean_delay": means.tolist(),
-                "tau_k": tau_k.tolist(),
-                "tau_q": tau_q.tolist(),
-                "fit_exponent": exponent,
-                "fit_r_squared": r2,
-            },
-            as_csv=False,
-        )
+    return (
+        {"gamma": gammas, "mean_delay": means, "tau_k": tau_k, "tau_q": tau_q},
+        {"fit_exponent": exponent, "fit_r_squared": r2},
+    )
 
 
-def fig1_panel_curves(panel: str, gamma: float = 1.0, n_points: int = 4000):
-    """(tau, analytic density, baseline delay function) for one Fig.-1 panel."""
-    omega = FIG1_RATIOS[panel] * gamma
-    params = core.ModelParams(omega, gamma)
+def _fig1_panel(panel: str, gamma: float, n_points: int):
+    params = core.ModelParams(FIG1_RATIOS[panel] * gamma, gamma)
     tau = np.linspace(0.0, FIG1_SPANS[panel] / gamma, n_points)
-    ell_k = core.waiting_time_density(tau, params)
-    ell_q = baseline.delay_function(params, tau).density
-    return tau, ell_k, ell_q
+    try:
+        ell_k = stats.DelayDistribution(tau, core.waiting_time_density(tau, params))
+    except ValueError as exc:  # trapezoid mass > 1 on an under-resolved grid
+        raise ValueError(f"n={n_points} under-resolves panel {panel}: {exc}") from None
+    ell_q = baseline.delay_function(params, tau)
+    return (
+        {"tau": tau, "ell_kolmogorov": ell_k.density, "ell_baseline": ell_q.density},
+        {
+            "panel": panel,
+            "omega_over_gamma": FIG1_RATIOS[panel],
+            "axis_note": "dimensionless axis is omega*tau",
+            "mean_kolmogorov": core.mean_waiting_time(params),
+            "mean_baseline": stats.mean_delay(ell_q),
+            "l1_distance": stats.l1_distance(ell_k, ell_q),
+        },
+    )
 
 
 def _run_fig1(cfg: RunConfig):
     panels = ["a", "b"] if cfg.panel == "both" else [cfg.panel]
-    for panel in panels:
-        tau, ell_k, ell_q = fig1_panel_curves(panel, cfg.gamma, cfg.n)
-        out = cfg.out_path
-        if len(panels) > 1:
-            stem, dot, ext = out.rpartition(".")
-            out = f"{stem}_{panel}{dot}{ext}" if dot else f"{out}_{panel}"
-        header = cfg.header()
-        header["panel"] = panel
-        header["omega_over_gamma"] = FIG1_RATIOS[panel]
-        header["axis_note"] = "dimensionless axis is omega*tau"
-        io.write_csv(
-            out,
-            {"tau": tau, "ell_kolmogorov": ell_k, "ell_baseline": ell_q},
-            header,
-            cfg.timestamp,
+    return [_fig1_panel(panel, cfg.gamma, cfg.n) for panel in panels]
+
+
+def _run_duality(cfg: RunConfig):
+    """L1 distance between the MC angle histogram and the PDE density at t."""
+    params = cfg.params()
+    if params.omega == 0:
+        raise ValueError("duality needs omega > 0: the drift sets the time step")
+    if cfg.horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {cfg.horizon}")
+    if len(set(cfg.sizes)) < 2:
+        raise ValueError("sizes must hold at least two distinct ensemble sizes")
+    grid = pde.ThetaGrid(cfg.grid_n)
+    # Courant number as close to 1 as the horizon allows: transport is then
+    # an exact shift, and the PDE error is source/sink error alone
+    n_steps = int(np.ceil(cfg.horizon / (grid.cell_width / (0.5 * params.omega))))
+    reference = pde.solve(
+        params, grid, cfg.horizon, cfg.horizon / n_steps, snapshot_stride=n_steps
+    ).final.values
+    l1 = []
+    for n in cfg.sizes:
+        angles = mc.ensemble_theta_at(
+            params, cfg.jump_semantics(), cfg.horizon, cfg.seed, n
         )
+        hist = mc.histogram_from_angles(angles, grid)
+        l1.append(float(np.sum(np.abs(hist.values - reference)) * grid.cell_width))
+    slope = float(np.polyfit(np.log(cfg.sizes), np.log(l1), 1)[0])
+    columns = {"ensemble_size": np.asarray(cfg.sizes, float), "l1_distance": l1}
+    return columns, {"slope": slope}
+
+
+def _write(cfg: RunConfig, outputs):
+    """Write each (columns, scalars) output; several get one file per panel."""
+    if not isinstance(outputs, list):
+        outputs = [outputs]
+    writer = io.write_csv if cfg.format == "csv" else io.write_json
+    for columns, scalars in outputs:
+        path = cfg.out_path
+        if len(outputs) > 1:
+            stem, dot, ext = path.rpartition(".")
+            tag = scalars["panel"]
+            path = f"{stem}_{tag}{dot}{ext}" if dot else f"{path}_{tag}"
+        writer(path, columns, scalars, cfg.header(), cfg.timestamp)
 
 
 _RUNNERS = {
@@ -285,12 +297,13 @@ _RUNNERS = {
     "baseline": _run_baseline,
     "sweep": _run_sweep,
     "fig1": _run_fig1,
+    "duality": _run_duality,
 }
 
 
 def run(config: RunConfig) -> int:
     try:
-        _RUNNERS[config.command](config)
+        _write(config, _RUNNERS[config.command](config))
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"qjump {config.command}: {exc}", file=sys.stderr)
         return 2

@@ -161,13 +161,19 @@ def _worker(args):
 
 
 def _n_workers():
+    value = os.environ.get("QJUMP_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("QJUMP_THREADS", "1")))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"QJUMP_THREADS must be an integer >= 1, got {value!r}")
+    return workers
 
 
 def _run_ensemble(params, semantics, horizon, seed, n, want_theta):
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     workers = min(_n_workers(), n)
     if workers == 1:
         return _worker((params, semantics, horizon, seed, 0, n, want_theta))

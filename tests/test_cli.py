@@ -139,3 +139,100 @@ class TestFig1Command:
         assert rc == 0
         assert (tmp_path / "fig1_a.csv").exists()
         assert (tmp_path / "fig1_b.csv").exists()
+
+    def test_summary_scalars(self, tmp_path):
+        out = tmp_path / "fig1a.json"
+        rc = cli.main(["fig1", "--panel", "a", "--n", "600", "--format", "json",
+                       "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["mean_kolmogorov"] > 0 and doc["mean_baseline"] > 0
+        assert doc["l1_distance"] == pytest.approx(0.345, abs=0.01)
+
+    def test_under_resolved_grid_names_n(self, tmp_path, capsys):
+        rc = cli.main(["fig1", "--panel", "a", "--n", "30",
+                       "--out", str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert "n=30" in capsys.readouterr().err
+
+
+class TestDualityCommand:
+    def test_defaults(self):
+        cfg = cli.parse_config(["duality"])
+        assert (cfg.omega, cfg.gamma, cfg.seed, cfg.grid_n, cfg.horizon) == (
+            3.33, 1.0, 99, 128, 5.0
+        )
+        assert cfg.sizes == [1_000, 10_000, 100_000]
+
+    def test_json_columns_and_slope(self, tmp_path):
+        out = tmp_path / "duality.json"
+        rc = cli.main(
+            ["duality", "--grid-n", "32", "--sizes", "40", "80", "--format",
+             "json", "--out", str(out)]
+        )
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["ensemble_size"] == [40.0, 80.0]
+        assert len(doc["l1_distance"]) == 2
+        assert np.isfinite(doc["slope"])
+
+    def test_zero_omega_rejected(self, tmp_path, capsys):
+        rc = cli.main(
+            ["duality", "--omega", "0", "--sizes", "10", "20",
+             "--out", str(tmp_path / "d.csv")]
+        )
+        assert rc == 2
+        assert "omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--omega", "2"],
+        ["delay", "--theta0", "0.3"],
+        ["baseline", "--theta0", "0.3"],
+        ["sweep", "--theta0", "0.3"],
+        ["sweep", "--gamma", "2"],
+        ["fig1", "--theta0", "0.3"],
+        ["duality", "--theta0", "0.3"],
+    ],
+)
+def test_unused_model_flags_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+SMALL_RUNS = {
+    "delay": ["--omega", "3.33", "--n", "50"],
+    "pde": ["--omega", "3.33", "--theta0", "0.3", "--horizon", "0.5", "--grid-n", "32"],
+    "mc": ["--omega", "3.33", "--n", "20", "--horizon", "10", "--seed", "1"],
+    "baseline": ["--omega", "3.33", "--horizon", "5", "--n", "50"],
+    "sweep": ["--sweep-points", "3"],
+    "fig1": ["--panel", "both", "--n", "400"],
+    "duality": ["--grid-n", "32", "--sizes", "40", "80"],
+}
+
+
+def run_into(directory, command, fmt):
+    directory.mkdir()
+    argv = [command, *SMALL_RUNS[command], "--format", fmt, "--no-timestamp",
+            "--out", str(directory / f"out.{fmt}")]
+    assert cli.main(argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_every_subcommand_writes_its_format(tmp_path, command, fmt):
+    first = run_into(tmp_path / "first", command, fmt)
+    assert first
+    for name in first:
+        path = tmp_path / "first" / name
+        if fmt == "json":
+            assert json.loads(path.read_text())["config"]["command"] == command
+        else:
+            names, rows = data_rows(path)
+            assert all(not n[:1].isdigit() for n in names)
+            assert rows.shape[0] > 0 and rows.shape[1] == len(names)
+    assert run_into(tmp_path / "second", command, fmt) == first

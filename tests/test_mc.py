@@ -34,6 +34,20 @@ class TestDeterminism:
             assert np.array_equal(a.times, b.times)
 
 
+class TestEnsembleInputs:
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("ensemble", [mc.ensemble_records, mc.ensemble_theta_at])
+    def test_rejects_empty_ensemble(self, ensemble, n):
+        with pytest.raises(ValueError, match=r"\bn\b"):
+            ensemble(ModelParams(2.0, 1.0), LITERAL, 5.0, 0, n)
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+    def test_rejects_bad_thread_count(self, monkeypatch, value):
+        monkeypatch.setenv("QJUMP_THREADS", value)
+        with pytest.raises(ValueError, match="QJUMP_THREADS"):
+            mc.ensemble_records(ModelParams(2.0, 1.0), LITERAL, 5.0, 0, 4)
+
+
 class TestTrajectoryStructure:
     def test_tiny_gamma_pure_rabi_drift(self):
         p = ModelParams(2.0, 1e-9)
