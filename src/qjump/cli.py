@@ -253,8 +253,8 @@ def _run_duality(cfg: RunConfig):
     params = cfg.params()
     if params.omega == 0:
         raise ValueError("duality needs omega > 0: the drift sets the time step")
-    if cfg.horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {cfg.horizon}")
+    if not (np.isfinite(cfg.horizon) and cfg.horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
     if len(set(cfg.sizes)) < 2:
         raise ValueError("sizes must hold at least two distinct ensemble sizes")
     grid = pde.ThetaGrid(cfg.grid_n)

@@ -3,10 +3,19 @@
 Candidate events are proposed at the constant majorant rate gamma (both
 hazards are bounded by gamma) and accepted with probability hazard/gamma
 evaluated at the drifted angle, so event times carry no discretization bias.
+One kernel advances many trajectories at once: each round draws one array
+per variate, sized to the trajectories still active, and applies masks.
+
+Streams are keyed by (seed, block): trajectories 0..BLOCK-1 of an ensemble
+share SeededSource(seed, 0), the next BLOCK share SeededSource(seed, 1), and
+so on.  Workers get contiguous runs of blocks, so an ensemble is
+bit-identical for any QJUMP_THREADS.  An ensemble of n is not a prefix of a
+larger one, and simulate(SeededSource(seed, i)) is not its trajectory i.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -16,7 +25,7 @@ import numpy as np
 from .core import JumpSemantics, ModelParams, reduce_angle
 from .pde import ProbabilityField, ThetaGrid
 
-_BLOCK = 64
+BLOCK = 4096  # trajectories per RNG stream
 
 
 @dataclass(frozen=True)
@@ -25,6 +34,12 @@ class SeededSource:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
     def rng(self):
         return np.random.default_rng((self.seed, self.stream_id))
@@ -59,73 +74,57 @@ class EmissionRecord:
     t_end: float
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.size and (
-            np.any(np.diff(self.times) <= 0) or self.times[-1] > self.t_end
-        ):
+        t = self.times = np.asarray(self.times, dtype=float)
+        # np.diff is the costly part, and it is empty below two times
+        if t.size and (t[-1] > self.t_end or t.size > 1 and np.any(np.diff(t) <= 0)):
             raise ValueError("emission times must be increasing and <= t_end")
 
 
-class _Draws:
-    """Blocked scalar draws from one generator (cuts per-call rng overhead)."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self._exp = rng.exponential(size=_BLOCK)
-        self._uni = rng.random(size=_BLOCK)
-        self._ie = 0
-        self._iu = 0
-
-    def exponential(self):
-        if self._ie == self._exp.size:
-            self._exp = self.rng.exponential(size=_BLOCK)
-            self._ie = 0
-        v = self._exp[self._ie]
-        self._ie += 1
-        return v
-
-    def uniform(self):
-        if self._iu == self._uni.size:
-            self._uni = self.rng.random(size=_BLOCK)
-            self._iu = 0
-        v = self._uni[self._iu]
-        self._iu += 1
-        return v
+def _check_horizon(horizon, name="horizon"):
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {horizon}")
 
 
-def _simulate_core(params, semantics, horizon, rng, jumps=None):
-    """Thinning loop.  Returns (emission_times, segments).
+def _kernel(params, semantics, horizon, rng, n, jumps=None):
+    """Thinning on n trajectories at once.
 
-    When `jumps` is a list it also receives (t, theta_before, emitted).
+    Returns (times, counts, theta): the emission times of all trajectories
+    in order, how many belong to each, and each angle at `horizon`.  When
+    `jumps` is a list it receives (t, theta_before, emitted) for n = 1.
     """
     omega, gamma = params.omega, params.gamma
-    draws = _Draws(rng)
     literal = semantics is JumpSemantics.KOLMOGOROV_LITERAL
-
-    t = 0.0
-    t_seg = 0.0
-    th_seg = params.theta0
-    segments = [(0.0, th_seg)]
-    emissions = []
-
-    while True:
-        if omega == 0.0 and th_seg == 0.0:
-            break  # hazard is identically zero from here on
-        t = t + draws.exponential() / gamma
-        if t >= horizon:
-            break
-        th = reduce_angle(th_seg + 0.5 * omega * (t - t_seg))
+    # between jumps theta(t) = phase + omega*t/2; a jump at t resets it to 0
+    phase = np.full(n, float(params.theta0))
+    buf, counts = np.empty((n, 4)), np.zeros(n, dtype=np.intp)
+    # the hazard is identically zero once omega = 0 and theta = 0
+    ids = np.arange(n if omega != 0.0 or params.theta0 != 0.0 else 0)
+    t, ph = np.zeros(ids.size), phase[ids]  # state of the active trajectories
+    while ids.size:
+        m = ids.size
+        t = t + rng.exponential(size=m) / gamma
+        th = ph + 0.5 * omega * t
         s2 = np.sin(th) ** 2
-        accept_prob = s2 if literal else s2 * s2
-        if draws.uniform() < accept_prob:
-            emitted = (draws.uniform() < s2) if literal else True
-            if emitted:
-                emissions.append(t)
+        u = rng.random(m)
+        live = t < horizon
+        jump = live & (u < (s2 if literal else s2 * s2))
+        emit = (jump & (rng.random(m) < s2)) if literal else jump
+        if emit.any():
+            rows = ids[emit]
+            if counts[rows].max() == buf.shape[1]:
+                buf = np.concatenate([buf, np.empty_like(buf)], axis=1)
+            buf[rows, counts[rows]] = t[emit]
+            counts[rows] += 1
+        if jump.any():
             if jumps is not None:
-                jumps.append((t, th, emitted))
-            t_seg, th_seg = t, 0.0
-            segments.append((t, 0.0))
-    return emissions, segments
+                jumps.append((float(t[0]), float(reduce_angle(th[0])), bool(emit[0])))
+            ph = np.where(jump, -0.5 * omega * t, ph)
+            phase[ids[jump]] = ph[jump]
+        keep = live & ~jump if omega == 0.0 else live
+        if not keep.all():
+            ids, t, ph = ids[keep], t[keep], ph[keep]
+    times = buf[np.arange(buf.shape[1]) < counts[:, None]]
+    return times, counts, reduce_angle(phase + 0.5 * omega * horizon)
 
 
 def simulate(
@@ -135,29 +134,25 @@ def simulate(
     src: SeededSource,
 ):
     """Simulate one trajectory; returns (Trajectory, EmissionRecord)."""
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    _check_horizon(horizon)
     jumps = []
-    emissions, segments = _simulate_core(params, semantics, horizon, src.rng(), jumps)
+    times, _, _ = _kernel(params, semantics, horizon, src.rng(), 1, jumps)
+    segments = [(0.0, params.theta0)] + [(t, 0.0) for t, _, _ in jumps]
     traj = Trajectory(
         segments=segments, jumps=jumps, horizon=horizon, omega=params.omega
     )
-    return traj, EmissionRecord(np.array(emissions), horizon)
+    return traj, EmissionRecord(times, horizon)
 
 
 def _worker(args):
-    params, semantics, horizon, seed, lo, hi, want_theta = args
-    out = []
-    for i in range(lo, hi):
-        rng = SeededSource(seed, i).rng()
-        emissions, segments = _simulate_core(params, semantics, horizon, rng)
-        if want_theta:
-            t_seg, th_seg = segments[-1]
-            theta = reduce_angle(th_seg + 0.5 * params.omega * (horizon - t_seg))
-            out.append((np.asarray(emissions), theta))
-        else:
-            out.append((np.asarray(emissions), None))
-    return out
+    params, semantics, horizon, seed, n, lo, hi = args
+    return [
+        _kernel(
+            params, semantics, horizon, SeededSource(seed, b).rng(),
+            min(BLOCK, n - b * BLOCK),
+        )
+        for b in range(lo, hi)
+    ]
 
 
 def _n_workers():
@@ -171,24 +166,25 @@ def _n_workers():
     return workers
 
 
-def _run_ensemble(params, semantics, horizon, seed, n, want_theta):
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    workers = min(_n_workers(), n)
-    if workers == 1:
-        return _worker((params, semantics, horizon, seed, 0, n, want_theta))
-    bounds = np.linspace(0, n, workers + 1).astype(int)
+def _run_ensemble(params, semantics, horizon, seed, n):
+    """(times, counts, theta) of n trajectories, BLOCK per stream."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    SeededSource(seed)  # validates seed
+    n_blocks = -(-n // BLOCK)
+    workers = min(_n_workers(), n_blocks)
+    bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
     tasks = [
-        (params, semantics, horizon, seed, int(lo), int(hi), want_theta)
+        (params, semantics, horizon, seed, n, int(lo), int(hi))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # chunks are dispatched in stream order, so results are
-        # independent of scheduling
-        for part in pool.map(_worker, tasks):
-            out.extend(part)
-    return out
+    if workers == 1:
+        parts = _worker(tasks[0])
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # results come back in block order whatever the scheduling
+            parts = [p for chunk in pool.map(_worker, tasks) for p in chunk]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def ensemble_records(
@@ -198,11 +194,13 @@ def ensemble_records(
     seed: int,
     n: int,
 ) -> list[EmissionRecord]:
-    """Emission records of n trajectories with per-trajectory seeded streams."""
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    out = _run_ensemble(params, semantics, horizon, seed, n, want_theta=False)
-    return [EmissionRecord(times, horizon) for times, _ in out]
+    """Emission records of n trajectories with block-keyed seeded streams."""
+    _check_horizon(horizon)
+    times, counts, _ = _run_ensemble(params, semantics, horizon, seed, n)
+    ends = np.cumsum(counts).tolist()
+    return [
+        EmissionRecord(times[a:b], horizon) for a, b in zip([0] + ends[:-1], ends)
+    ]
 
 
 def ensemble_theta_at(
@@ -213,10 +211,8 @@ def ensemble_theta_at(
     n: int,
 ) -> np.ndarray:
     """Angles of n independent trajectories sampled at time t."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    out = _run_ensemble(params, semantics, t, seed, n, want_theta=True)
-    return np.array([theta for _, theta in out])
+    _check_horizon(t, "t")
+    return _run_ensemble(params, semantics, t, seed, n)[2]
 
 
 def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:

@@ -81,6 +81,15 @@ class TestMcCommand:
         assert header == ["trajectory_id", "emission_time"]
         assert rows.shape[0] > 0
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--horizon", "nan"), ("--horizon", "inf"), ("--seed", "-1")]
+    )
+    def test_bad_input_names_parameter(self, tmp_path, capsys, flag, value):
+        rc = cli.main(["mc", flag, value, "--n", "10", "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_reproducible_without_timestamp(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["mc", "--omega", "2", "--n", "50", "--horizon", "10",
@@ -183,6 +192,15 @@ class TestDualityCommand:
         )
         assert rc == 2
         assert "omega" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "0"])
+    def test_bad_horizon_rejected(self, tmp_path, capsys, horizon):
+        rc = cli.main(
+            ["duality", "--horizon", horizon, "--sizes", "10", "20",
+             "--out", str(tmp_path / "d.csv")]
+        )
+        assert rc == 2
+        assert "horizon" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjump import core, mc, pde, stats
 from qjump.core import JumpSemantics, ModelParams
@@ -26,12 +29,23 @@ class TestDeterminism:
         assert not np.array_equal(r1.times, r2.times)
 
     def test_parallel_matches_serial(self, monkeypatch):
+        # three blocks, the last one partial: 1, 2 and 3 workers split them
+        # differently, and every split must give the same bits
         p = ModelParams(3.33, 1.0)
-        serial = mc.ensemble_records(p, EMISSION, 20.0, 5, 8)
-        monkeypatch.setenv("QJUMP_THREADS", "2")
-        parallel = mc.ensemble_records(p, EMISSION, 20.0, 5, 8)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.times, b.times)
+        n = 2 * mc.BLOCK + 17
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("QJUMP_THREADS", threads)
+            recs = mc.ensemble_records(p, EMISSION, 3.0, 5, n)
+            theta = mc.ensemble_theta_at(p, LITERAL, 3.0, 5, n)
+            runs.append((np.concatenate([r.times for r in recs]),
+                         [r.times.size for r in recs], theta))
+        serial = runs[0]
+        assert len(serial[1]) == n and sum(serial[1]) > 0
+        for times, counts, theta in runs[1:]:
+            assert np.array_equal(times, serial[0])
+            assert counts == serial[1]
+            assert np.array_equal(theta, serial[2])
 
 
 class TestEnsembleInputs:
@@ -46,6 +60,59 @@ class TestEnsembleInputs:
         monkeypatch.setenv("QJUMP_THREADS", value)
         with pytest.raises(ValueError, match="QJUMP_THREADS"):
             mc.ensemble_records(ModelParams(2.0, 1.0), LITERAL, 5.0, 0, 4)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_horizon(self, horizon):
+        p = ModelParams(2.0, 1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            mc.simulate(p, LITERAL, horizon, SeededSource(0))
+        with pytest.raises(ValueError, match="horizon"):
+            mc.ensemble_records(p, LITERAL, horizon, 0, 4)
+        with pytest.raises(ValueError, match=r"\bt\b"):
+            mc.ensemble_theta_at(p, LITERAL, horizon, 0, 4)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, "7"])
+    def test_rejects_bad_seed(self, seed):
+        p = ModelParams(2.0, 1.0)
+        with pytest.raises(ValueError, match="seed"):
+            mc.simulate(p, LITERAL, 5.0, SeededSource(seed))
+        for ensemble in (mc.ensemble_records, mc.ensemble_theta_at):
+            with pytest.raises(ValueError, match="seed"):
+                ensemble(p, LITERAL, 5.0, seed, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entry=st.sampled_from(["simulate", "ensemble_records", "ensemble_theta_at"]),
+        omega=st.sampled_from([0.0, 0.5, 3.33]),
+        theta0=st.sampled_from([0.0, 0.7]),
+        horizon=st.one_of(
+            st.floats(-5.0, 20.0), st.sampled_from([math.nan, math.inf, -math.inf])
+        ),
+        seed=st.one_of(st.integers(-3, 2**64), st.floats(-2.0, 2.0)),
+        n=st.integers(1, 40),
+    )
+    def test_output_finite_or_named_error(self, entry, omega, theta0, horizon, seed, n):
+        p = ModelParams(omega, 1.0, theta0)
+        time_name = "t" if entry == "ensemble_theta_at" else "horizon"
+        bad = set()
+        if not (math.isfinite(horizon) and horizon > 0):
+            bad.add(time_name)
+        if not (isinstance(seed, int) and seed >= 0):
+            bad.add("seed")
+        try:
+            if entry == "simulate":
+                traj, rec = mc.simulate(p, EMISSION, horizon, SeededSource(seed, n))
+                out = [rec.times, [t for t, _, _ in traj.jumps]]
+            elif entry == "ensemble_records":
+                out = [r.times for r in mc.ensemble_records(p, LITERAL, horizon, seed, n)]
+            else:
+                out = [mc.ensemble_theta_at(p, LITERAL, horizon, seed, n)]
+        except ValueError as exc:
+            named = [name for name in bad if re.search(rf"\b{name}\b", str(exc))]
+            assert named, f"{exc!r} names none of {bad}"
+            return
+        assert not bad, f"accepted bad {bad}"
+        assert all(np.all(np.isfinite(np.asarray(x, dtype=float))) for x in out)
 
 
 class TestTrajectoryStructure:
@@ -100,6 +167,34 @@ class TestNoPump:
         rate = core.emission_intensity(p.theta0, p.gamma)
         rep = stats.ks_test(firsts, lambda x: 1.0 - np.exp(-rate * x))
         assert not rep.reject_at_1pct
+
+
+class TestBlockLayout:
+    def test_first_emission_law_across_blocks(self):
+        # one full block and a block of one: the pooled first-emission times
+        # follow 1 - exp(-gamma int_0^t sin^4), conditioned on the horizon
+        p = ModelParams(3.33, 1.0)
+        horizon = 20.0
+        recs = mc.ensemble_records(p, EMISSION, horizon, 3, mc.BLOCK + 1)
+        firsts = np.array([r.times[0] for r in recs if r.times.size])
+        assert firsts.size > 0.99 * len(recs)
+
+        def cdf(x):
+            hazard = lambda t: p.gamma * core.intensity_integral(t, p.omega)
+            return -np.expm1(-hazard(x)) / -np.expm1(-hazard(horizon))
+
+        assert not stats.ks_test(firsts, cdf).reject_at_1pct
+
+    def test_multi_block_records_keep_the_contract(self):
+        p = ModelParams(3.33, 1.0)
+        horizon = 15.0
+        recs = mc.ensemble_records(p, LITERAL, horizon, 4, 2 * mc.BLOCK + 5)
+        assert len(recs) == 2 * mc.BLOCK + 5
+        assert sum(r.times.size for r in recs) > 0
+        for r in recs:
+            assert r.t_end == horizon
+            assert np.all(np.diff(r.times) > 0)
+            assert np.all((r.times > 0) & (r.times <= horizon))
 
 
 class TestInterarrivals:
