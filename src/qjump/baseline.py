@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, time_steps
 from .stats import DelayDistribution
 
 MAX_RATE_DT = 0.1
@@ -116,15 +116,15 @@ def integrate(
     dt: float,
     truncated: bool = False,
 ):
-    """Fixed-step RK4 evolution; returns (times, list of DensityMatrix2)."""
+    """Fixed-step RK4 evolution; returns (times, list of DensityMatrix2).
+
+    Takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps.
+    """
     _check_dt(params, dt)
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps, h = time_steps(t_end, dt)
     m = rho0.matrix.copy()
-    times = np.arange(n_steps + 1) * (t_end / n_steps)
+    times = np.linspace(0.0, t_end, n_steps + 1)
     states = [DensityMatrix2(m.copy())]
-    h = t_end / n_steps
     for _ in range(n_steps):
         m = _rk4_step(m, h, params, truncated)
         states.append(DensityMatrix2(m.copy()))

@@ -11,6 +11,7 @@ byte-identical reruns.  QJUMP_THREADS caps Monte Carlo parallelism.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -253,8 +254,8 @@ def _run_duality(cfg: RunConfig):
     params = cfg.params()
     if params.omega == 0:
         raise ValueError("duality needs omega > 0: the drift sets the time step")
-    if not (np.isfinite(cfg.horizon) and cfg.horizon > 0):
-        raise ValueError(f"horizon must be finite and > 0, got {cfg.horizon}")
+    if cfg.horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {cfg.horizon}")
     if len(set(cfg.sizes)) < 2:
         raise ValueError("sizes must hold at least two distinct ensemble sizes")
     grid = pde.ThetaGrid(cfg.grid_n)
@@ -303,6 +304,8 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     try:
+        if not math.isfinite(config.horizon):
+            raise ValueError(f"horizon must be finite, got {config.horizon}")
         _write(config, _RUNNERS[config.command](config))
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"qjump {config.command}: {exc}", file=sys.stderr)

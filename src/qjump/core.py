@@ -50,6 +50,23 @@ def reduce_angle(theta):
     return (theta + HALF_PI) % math.pi - HALF_PI
 
 
+def time_steps(t_end, dt):
+    """(n, h): the fewest equal steps h = t_end/n <= dt that end at t_end.
+
+    A ratio t_end/dt within 1e-13 (relative) of a whole number counts as that
+    number, so t_end = n*dt gives n steps and not n + 1 from round-off; h
+    then exceeds dt by at most that tolerance.
+    """
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end/dt overflows: t_end={t_end}, dt={dt}")
+    n = max(1, math.ceil(ratio * (1.0 - 1e-13)))
+    return n, t_end / n
+
+
 def drift_angle(t, params: ModelParams, theta_start):
     """Angle after drifting for time t >= 0 from theta_start (no jumps)."""
     if np.any(np.asarray(t) < 0):

@@ -5,6 +5,17 @@ omega/2 on the periodic cell [-pi/2, pi/2), then an exact exponential sink
 gamma*sin^2(theta) per cell with all removed mass reinjected into the cell
 containing theta = 0.  Mass is conserved to round-off and positivity is
 unconditional.
+
+At a fixed step the update is one column-stochastic n x n matrix A, a
+Markov-chain approximation in the sense of Kushner and Dupuis; `StepOperator`
+holds it and applies it as a stencil.  `solve` ends exactly at t_end: it takes
+the fewest equal steps t_end/n_steps that are no longer than the dt it is
+given.  Between snapshots it advances blocks of B steps with dense linear
+algebra: the state by A^B plus the response to the point mass fed into the
+source cell, and the excited population at every step of the block from the
+precomputed rows s2^T A^j.  B comes from the snapshot stride, the step count
+and the grid size; a solve with a snapshot every step, or too short for the
+matrix powers to pay, runs the stencil step by step.
 """
 
 from __future__ import annotations
@@ -14,11 +25,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HALF_PI, ModelParams, reduce_angle
+from .core import HALF_PI, ModelParams, reduce_angle, time_steps
 
 DEFAULT_N_CELLS = 256
 DEFAULT_CFL = 0.5
 MAX_GAMMA_DT = 0.1
+# Block-size cost model, in dense multiply-adds (about 0.04 ns each with a
+# single-threaded BLAS): one stencil step, a handful of numpy calls, costs
+# about STENCIL_COST of them, and a matrix-vector product about MATVEC_COST
+# per element.  A block is at most MAX_BLOCK steps, because its convolution
+# grows as B^2, and runs on at most MAX_BLOCK_CELLS cells, which keeps the
+# few dense n x n powers it holds under 8 MB each.
+STENCIL_COST = 500_000
+MATVEC_COST = 5
+MAX_BLOCK = 1024
+MAX_BLOCK_CELLS = 1024
 
 
 @dataclass
@@ -99,8 +120,8 @@ def max_stable_dt(params: ModelParams, grid: ThetaGrid, cfl: float = DEFAULT_CFL
 
 
 def _check_dt(params: ModelParams, grid: ThetaGrid, dt: float):
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if params.omega > 0 and dt * 0.5 * params.omega > grid.cell_width * (1 + 1e-12):
         raise ValueError(
             f"dt={dt} violates the advective stability bound "
@@ -110,25 +131,39 @@ def _check_dt(params: ModelParams, grid: ThetaGrid, dt: float):
         raise ValueError(f"dt={dt} violates gamma*dt <= {MAX_GAMMA_DT}")
 
 
-def _substep(values, courant, survival, source_index):
-    """One split update (upwind transport, then sink + source reinjection)."""
-    if courant > 0.0:
-        values = values - courant * (values - np.roll(values, 1))
-    removed = values * (1.0 - survival)
-    values = values * survival
-    # density increment = removed mass / cell_width = sum of removed densities
-    values[source_index] += float(np.sum(removed))
-    return values
+class StepOperator:
+    """One split step of size dt as a fixed linear map A on the cell densities.
+
+    Built once per (params, grid, dt): it owns the Courant number, the
+    per-cell survival factors and the source cell.
+    """
+
+    def __init__(self, params: ModelParams, grid: ThetaGrid, dt: float):
+        _check_dt(params, grid, dt)
+        self.grid = grid
+        self.courant = 0.5 * params.omega * dt / grid.cell_width
+        self.survival = np.exp(-params.gamma * np.sin(grid.centers) ** 2 * dt)
+
+    def apply(self, values):
+        """A along the last axis: upwind transport, then sink + source reinjection."""
+        if self.courant > 0.0:
+            upwind = np.concatenate((values[..., -1:], values[..., :-1]), axis=-1)
+            values = values - self.courant * (values - upwind)
+        removed = values * (1.0 - self.survival)
+        values = values * self.survival
+        # density increment = removed mass / cell_width = sum of removed densities
+        values[..., self.grid.source_index] += np.sum(removed, axis=-1)
+        return values
+
+    def matrix(self):
+        """A as a dense n x n array (column j is the stencil applied to e_j)."""
+        return self.apply(np.eye(self.grid.n_cells)).T
 
 
 def step(field: ProbabilityField, params: ModelParams, dt: float) -> ProbabilityField:
     """Advance the field by one time step of size dt."""
-    grid = field.grid
-    _check_dt(params, grid, dt)
-    courant = 0.5 * params.omega * dt / grid.cell_width
-    survival = np.exp(-params.gamma * np.sin(grid.centers) ** 2 * dt)
-    values = _substep(field.values.copy(), courant, survival, grid.source_index)
-    return ProbabilityField(grid, values, field.time + dt)
+    values = StepOperator(params, field.grid, dt).apply(field.values)
+    return ProbabilityField(field.grid, values, field.time + dt)
 
 
 def populations(field: ProbabilityField):
@@ -159,15 +194,122 @@ class SolveResult:
     final: ProbabilityField
 
 
-def _hazard_integral(theta_start, dt, params: ModelParams):
-    """Exact int_0^dt gamma*sin^2(theta_start + omega*s/2) ds."""
-    om, g = params.omega, params.gamma
-    if om == 0.0:
-        return g * dt * math.sin(theta_start) ** 2
-    theta_end = theta_start + 0.5 * om * dt
-    return g * (
-        0.5 * dt - (math.sin(2.0 * theta_end) - math.sin(2.0 * theta_start)) / (2.0 * om)
+def _hazard_integrals(angle, dt, params: ModelParams):
+    """Exact int gamma*sin^2 over each step of the characteristic angle[k].
+
+    With y = omega*dt/2 the integral is gamma*dt/2 * (1 - cos(a + b) sin(y)/y)
+    for a step from a to b = a + y; sin(y)/y -> 1 covers omega = 0 without
+    dividing by omega.
+    """
+    y = 0.5 * params.omega * dt
+    ratio = np.sinc(y / math.pi)
+    return 0.5 * params.gamma * dt * (1.0 - np.cos(angle[:-1] + angle[1:]) * ratio)
+
+
+def _block_size(n_steps, stride, n_cells):
+    """Steps per dense block, or 1 to run the stencil step by step.
+
+    Blocks end on every snapshot, so none is longer than the gap between
+    snapshots; a gap is split into equal blocks of at most b steps for each
+    power of two b up to MAX_BLOCK, and the size whose estimated cost is
+    lowest wins.  The set-up costs about log2(B) + 2 dense n x n products (the
+    squarings of A and the powers the block lengths need) and B n^2 for each
+    of the two block tables; each block costs a few numpy calls plus
+    matrix-vector products over n^2 + 2 B n + B^2 elements.
+    """
+    gap = min(stride, n_steps)
+    full, last = divmod(n_steps, stride)
+    best, best_cost = 1, n_steps * STENCIL_COST
+    if n_cells > MAX_BLOCK_CELLS:
+        return best
+    b = 1
+    while b < min(gap, MAX_BLOCK):
+        b *= 2
+        size = -(-gap // -(-gap // b))
+        n_blocks = full * -(-stride // size) + -(-last // size)
+        setup = (math.log2(size) + 2) * n_cells**3 + 2 * size * n_cells**2
+        per_block = STENCIL_COST / 2 + MATVEC_COST * (n_cells + size) ** 2
+        cost = setup + n_blocks * per_block
+        if cost < best_cost:
+            best, best_cost = size, cost
+    return best
+
+
+def _stencil(op: StepOperator, values, forcing, s2, stride, out):
+    """Step by step; yields (k, state) at each snapshot step and at the end.
+
+    Sets out[k] = s2 . state for every step before the last.
+    """
+    n_steps = forcing.size
+    source = op.grid.source_index
+    for k in range(n_steps):
+        out[k] = s2 @ values
+        if k % stride == 0:
+            yield k, values
+        values = op.apply(values)
+        values[source] += forcing[k]
+    yield n_steps, values
+
+
+def _block_tables(a, s2, source, size, lengths):
+    """Rows s2^T A^j and (A^j e_source)^T for j < size, and A^L per block length.
+
+    Built by doubling: with P = A^span, the tables grow from span to 2 span
+    rows by one product with P, and A^L collects the P whose bit is set in L.
+    Every power keeps mass as A does: the round-off in each column sum, which
+    would otherwise compound through the products, goes back into the source
+    row, where the scheme reinjects what the sink removes.
+    """
+
+    def keep_mass(m):
+        m[source] += 1.0 - m.sum(axis=0)
+        return m
+
+    rows = s2[None, :]
+    states = np.eye(a.shape[0])[[source]]
+    powers = dict.fromkeys(lengths)
+    span, p = 1, keep_mass(a)
+    while True:
+        for length, power in powers.items():
+            if length & span:
+                powers[length] = p if power is None else keep_mass(power @ p)
+        if span < size:
+            rows = np.vstack([rows, rows[: size - span] @ p])
+            states = np.vstack([states, states[: size - span] @ p.T])
+        if 2 * span > size:
+            return rows, states, powers
+        p = keep_mass(p @ p)
+        span *= 2
+
+
+def _blocks(op: StepOperator, values, forcing, s2, stride, size, out):
+    """Blocks of at most size steps; yields and sets out like _stencil.
+
+    Over a block of L steps from state v with source forcing f_0..f_{L-1}:
+    the state ends at A^L v + sum_j f_j A^(L-1-j) e_source, and
+    s2 . state_j = (s2^T A^j) v + sum_{i<j} h_(j-1-i) f_i, h_j = s2^T A^j e_source.
+    """
+    n_steps = forcing.size
+    lengths = []
+    for start in range(0, n_steps, stride):
+        q, r = divmod(min(stride, n_steps - start), size)
+        lengths += [size] * q + [r] * (r > 0)
+    rows, states, powers = _block_tables(
+        op.matrix(), s2, op.grid.source_index, size, set(lengths)
     )
+    impulse = rows[:, op.grid.source_index]
+    yield 0, values
+    k = 0
+    for length in lengths:
+        f = forcing[k : k + length]
+        out[k : k + length] = rows[:length] @ values
+        values = powers[length] @ values
+        if f.any():
+            values += f[::-1] @ states[:length]
+            out[k + 1 : k + length] += np.convolve(impulse[:length], f)[: length - 1]
+        k += length
+        if k % stride == 0 or k == n_steps:
+            yield k, values
 
 
 def solve(
@@ -181,6 +323,10 @@ def solve(
 ) -> SolveResult:
     """Run the solver from a delta at theta0 (default params.theta0) to t_end.
 
+    The solve takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps, so
+    it ends exactly at t_end with a step no longer than dt.  Snapshots are
+    kept every snapshot_stride steps (default n_steps // 100) and at t_end.
+
     With track_delta (default) the not-yet-jumped point mass is propagated
     analytically along its characteristic with exact survival decay, and only
     the regular (post-jump) part lives on the grid; grid schemes smear a
@@ -189,62 +335,49 @@ def solve(
     surviving mass into the cell containing the characteristic; the rho series
     uses the exact angle.  track_delta=False reproduces the pure grid scheme.
     """
-    _check_dt(params, grid, dt)
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps, dt = time_steps(t_end, dt)
+    op = StepOperator(params, grid, dt)
     if snapshot_stride is None:
         snapshot_stride = max(1, n_steps // 100)
-
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     if theta0 is None:
         theta0 = params.theta0
 
-    courant = 0.5 * params.omega * dt / grid.cell_width
-    survival = np.exp(-params.gamma * np.sin(grid.centers) ** 2 * dt)
-
-    times = np.empty(n_steps + 1)
-    rho0s = np.empty(n_steps + 1)
-    rho1s = np.empty(n_steps + 1)
-    snapshot_times, snapshots = [], []
-
-    s2 = np.sin(grid.centers) ** 2
     dx = grid.cell_width
-
+    s2 = np.sin(grid.centers) ** 2
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    angle = theta0 + 0.5 * params.omega * times
+    point = np.zeros(n_steps + 1)
     if track_delta:
         values = np.zeros(grid.n_cells)
-        m_delta = 1.0
+        point[0] = 1.0
+        np.cumprod(np.exp(-_hazard_integrals(angle, dt, params)), out=point[1:])
     else:
         values = init_delta(grid, theta0).values
-        m_delta = 0.0
+    # density the point mass feeds into the source cell during step k
+    forcing = (point[:-1] - point[1:]) / dx
 
-    def deposited(vals, t):
-        if m_delta <= 0.0:
-            return ProbabilityField(grid, vals.copy(), t)
+    def deposited(vals, k):
         out = vals.copy()
-        out[grid.cell_of(theta0 + 0.5 * params.omega * t)] += m_delta / dx
-        return ProbabilityField(grid, out, t)
+        if point[k] > 0.0:
+            out[grid.cell_of(angle[k])] += point[k] / dx
+        return ProbabilityField(grid, out, float(times[k]))
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        times[k] = t
-        rho1 = float(np.sum(values * s2) * dx)
-        rho0 = float(np.sum(values * (1.0 - s2)) * dx)
-        if m_delta > 0.0:
-            s2_det = math.sin(theta0 + 0.5 * params.omega * t) ** 2
-            rho1 += m_delta * s2_det
-            rho0 += m_delta * (1.0 - s2_det)
-        rho0s[k], rho1s[k] = rho0, rho1
-        if k % snapshot_stride == 0 or k == n_steps:
-            snapshot_times.append(t)
-            snapshots.append(deposited(values, t))
-        if k < n_steps:
-            values = _substep(values, courant, survival, grid.source_index)
-            if m_delta > 0.0:
-                m_new = m_delta * math.exp(
-                    -_hazard_integral(theta0 + 0.5 * params.omega * t, dt, params)
-                )
-                values[grid.source_index] += (m_delta - m_new) / dx
-                m_delta = m_new
+    size = _block_size(n_steps, snapshot_stride, grid.n_cells)
+    grid_rho1 = np.empty(n_steps + 1)
+    args = (op, values, forcing, s2, snapshot_stride)
+    states = _stencil(*args, grid_rho1) if size == 1 else _blocks(*args, size, grid_rho1)
+    snapshot_times, snapshots = [], []
+    for k, vals in states:
+        snapshot_times.append(float(times[k]))
+        snapshots.append(deposited(vals, k))
+    final = deposited(vals, n_steps)
+    grid_rho1[n_steps] = s2 @ vals
 
-    final = deposited(values, n_steps * dt)
-    return SolveResult(times, rho0s, rho1s, snapshot_times, snapshots, final)
+    rho1 = dx * grid_rho1 + point * np.sin(angle) ** 2
+    # A keeps mass, so the grid holds its initial mass plus the cumulative
+    # forcing, which is what the point mass has lost: rho0 + rho1 stays at
+    # the initial total
+    rho0 = (dx * np.sum(values) + point[0]) - rho1
+    return SolveResult(times, rho0, rho1, snapshot_times, snapshots, final)

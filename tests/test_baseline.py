@@ -93,6 +93,22 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             baseline.integrate(DensityMatrix2.ground(), ModelParams(1.0, 50.0), 1.0, 0.1)
 
+    def test_step_never_exceeds_dt(self):
+        # round(1.0 / 0.03) = 33 steps would take h = 0.0303 > dt
+        p = ModelParams(1.0, 1.0)
+        times, states = baseline.integrate(DensityMatrix2.ground(), p, 1.0, 0.03)
+        assert len(states) == times.size == 35
+        assert times[1] <= 0.03
+        assert times[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "name, t_end, dt",
+        [("t_end", math.nan, 0.01), ("t_end", math.inf, 0.01), ("dt", 1.0, math.nan)],
+    )
+    def test_non_finite_input_names_parameter(self, name, t_end, dt):
+        with pytest.raises(ValueError, match=name):
+            baseline.integrate(DensityMatrix2.ground(), ModelParams(1.0, 1.0), t_end, dt)
+
 
 class TestSteadyState:
     @pytest.mark.parametrize("ratio", [0.2, 1.0, 3.33, 10.0])

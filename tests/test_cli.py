@@ -221,6 +221,23 @@ def test_unused_model_flags_rejected(tmp_path, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["pde", "--horizon", "nan"], "horizon"),
+        (["pde", "--horizon", "inf"], "horizon"),
+        (["pde", "--dt", "nan"], "dt"),
+        (["delay", "--horizon", "nan"], "horizon"),
+        (["baseline", "--horizon", "inf"], "horizon"),
+    ],
+)
+def test_non_finite_flag_named(tmp_path, capsys, argv, name):
+    rc = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 SMALL_RUNS = {
     "delay": ["--omega", "3.33", "--n", "50"],
     "pde": ["--omega", "3.33", "--theta0", "0.3", "--horizon", "0.5", "--grid-n", "32"],

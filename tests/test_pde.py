@@ -192,3 +192,126 @@ class TestSolve:
         p = ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):
             pde.solve(p, ThetaGrid(64), -1.0, 0.01)
+
+    @pytest.mark.parametrize(
+        "name, t_end, dt",
+        [
+            ("t_end", math.nan, 0.01),
+            ("t_end", math.inf, 0.01),
+            ("t_end", -math.inf, 0.01),
+            ("dt", 1.0, math.nan),
+            ("dt", 1.0, math.inf),
+            ("t_end", 1e300, 1e-10),
+        ],
+    )
+    def test_non_finite_input_names_parameter(self, name, t_end, dt):
+        with pytest.raises(ValueError, match=name):
+            pde.solve(ModelParams(1.0, 1.0), ThetaGrid(64), t_end, dt)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_step_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            pde.step(pde.init_delta(ThetaGrid(64), 0.0), ModelParams(1.0, 1.0), dt)
+
+    @pytest.mark.parametrize(
+        "t_end, dt, n_steps",
+        [(1.0, 0.03, 34), (0.01, 0.03, 1), (0.3, 0.1, 3), (1.0, 1.0 / 49.0, 49)],
+    )
+    def test_ends_exactly_at_t_end(self, t_end, dt, n_steps):
+        r = pde.solve(ModelParams(0.1, 1.0), ThetaGrid(64), t_end, dt)
+        assert r.times.size == n_steps + 1
+        assert r.times[-1] == t_end
+        assert r.final.time == t_end
+        assert r.snapshot_times[-1] == t_end
+        assert r.times[1] == t_end / n_steps <= dt
+
+    def test_whole_step_count_is_kept(self):
+        # 100_000 * dt / dt is not exactly 100_000 in floating point
+        p = ModelParams(3.33, 1.0)
+        g = ThetaGrid(256)
+        dt = pde.max_stable_dt(p, g)
+        r = pde.solve(p, g, 1000 * dt, dt, snapshot_stride=1000)
+        assert r.times.size == 1001
+
+    def test_tiny_omega_matches_no_pump(self):
+        # the hazard integral must not divide by a vanishing omega
+        g = ThetaGrid(64)
+        ref = pde.solve(ModelParams(0.0, 1.0, 0.5), g, 10.0, 0.01)
+        for omega in (1e-300, 5e-324):
+            r = pde.solve(ModelParams(omega, 1.0, 0.5), g, 10.0, 0.01)
+            assert np.max(np.abs(r.rho1 - ref.rho1)) < 1e-12
+
+
+def _oracle_hazard(theta, dt, p):
+    """int_0^dt gamma sin^2(theta + omega s/2) ds, as the difference of sines."""
+    if p.omega == 0.0:
+        return p.gamma * dt * math.sin(theta) ** 2
+    theta_end = theta + 0.5 * p.omega * dt
+    return p.gamma * (
+        0.5 * dt - (math.sin(2.0 * theta_end) - math.sin(2.0 * theta)) / (2.0 * p.omega)
+    )
+
+
+def stencil_reference(p, grid, times, theta0, stride, track_delta):
+    """The solve one pde.step at a time, with the point mass as a scalar recursion."""
+    dt, dx = times[1], grid.cell_width
+    s2 = np.sin(grid.centers) ** 2
+    if track_delta:
+        field, m = ProbabilityField(grid, np.zeros(grid.n_cells)), 1.0
+    else:
+        field, m = pde.init_delta(grid, theta0), 0.0
+    rho0, rho1, snapshots = [], [], []
+    for k, t in enumerate(times):
+        theta = theta0 + 0.5 * p.omega * t
+        rho1.append(np.sum(field.values * s2) * dx + m * math.sin(theta) ** 2)
+        rho0.append(np.sum(field.values * (1.0 - s2)) * dx + m * math.cos(theta) ** 2)
+        if k % stride == 0 or k == times.size - 1:
+            snap = field.values.copy()
+            if m > 0.0:
+                snap[grid.cell_of(theta)] += m / dx
+            snapshots.append(snap)
+        if k < times.size - 1:
+            field = pde.step(field, p, dt)
+            m_new = m * math.exp(-_oracle_hazard(theta, dt, p))
+            field.values[grid.source_index] += (m - m_new) / dx
+            m = m_new
+    return np.array(rho0), np.array(rho1), snapshots
+
+
+class TestBlockPropagation:
+    """Blocks of dense powers of A must reproduce the stencil step by step."""
+
+    @pytest.mark.parametrize(
+        "omega, theta0, n_cells, n_steps, stride, track_delta",
+        [
+            (0.0, math.pi / 4, 64, 300, 10, True),  # no transport
+            (2.0, 0.3, 64, 600, 37, True),  # Courant number exactly 1
+            (3.33, 0.3, 64, 700, 50, False),  # pure grid scheme
+            (3.33, 0.0, 64, 1000, 300, True),  # stride divides neither
+            (3.33, 0.2, 64, 200, 1, True),  # every state kept: the stencil
+            (1.0, 0.4, 16, 3000, 3000, True),
+            (3.33, -0.7, 257, 2000, 400, True),
+            (1.0 / 6.0, 1.2, 512, 4000, 4000, True),
+        ],
+    )
+    def test_matches_stencil(self, omega, theta0, n_cells, n_steps, stride, track_delta):
+        p = ModelParams(omega, 0.5)
+        g = ThetaGrid(n_cells)
+        # at omega = 2 a step of one cell width drifts exactly one cell
+        dt = g.cell_width if omega == 2.0 else pde.max_stable_dt(p, g)
+        r = pde.solve(
+            p, g, n_steps * dt, dt, theta0, snapshot_stride=stride, track_delta=track_delta
+        )
+        assert r.times.size == n_steps + 1
+        # the blocks run whenever states are skipped; stride 1 keeps the stencil
+        assert (pde._block_size(n_steps, stride, n_cells) > 1) == (stride > 1)
+        if omega == 2.0:
+            assert pde.StepOperator(p, g, r.times[1]).courant == 1.0
+        rho0, rho1, snapshots = stencil_reference(
+            p, g, r.times, theta0, stride, track_delta
+        )
+        assert np.max(np.abs(r.rho0 - rho0)) < 1e-12
+        assert np.max(np.abs(r.rho1 - rho1)) < 1e-12
+        assert len(r.snapshots) == len(snapshots)
+        for got, want in zip(r.snapshots + [r.final], snapshots + snapshots[-1:]):
+            assert np.max(np.abs(got.values - want)) * g.cell_width < 1e-12
