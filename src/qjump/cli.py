@@ -5,7 +5,7 @@ runner returns (columns, scalars), or one pair per panel for fig1, and one
 writer emits them: CSV as a table with the scalars in the '# key=value'
 header, JSON as lists followed by the scalars.  Every output file embeds the
 full configuration (and seed) in its header; pass --no-timestamp for
-byte-identical reruns.  QJUMP_THREADS caps Monte Carlo parallelism.
+byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -173,21 +173,21 @@ def _run_pde(cfg: RunConfig):
 def _run_mc(cfg: RunConfig):
     """CSV gets the emission table, JSON the ensemble summary."""
     params = cfg.params()
-    records = mc.ensemble_records(
+    emissions = mc.ensemble_records(
         params, cfg.jump_semantics(), cfg.horizon, cfg.seed, cfg.n
     )
-    counts = [r.times.size for r in records]
     if cfg.format == "csv":
+        ids = np.arange(len(emissions), dtype=float)
         return {
-            "trajectory_id": np.repeat(np.arange(len(records), dtype=float), counts),
-            "emission_time": np.concatenate([r.times for r in records]),
+            "trajectory_id": np.repeat(ids, np.diff(emissions.offsets)),
+            "emission_time": emissions.times,
         }, {}
-    gaps = mc.interarrival_samples(records)
+    gaps = mc.interarrival_samples(emissions)
     return {}, {
         "n_trajectories": cfg.n,
         "semantics": cfg.semantics,
-        "ever_emitted_fraction": mc.ever_emitted_fraction(records),
-        "total_emissions": int(sum(counts)),
+        "ever_emitted_fraction": mc.ever_emitted_fraction(emissions),
+        "total_emissions": emissions.times.size,
         "interarrival_mean": float(np.mean(gaps)) if gaps.size else None,
         "interarrival_var": float(np.var(gaps)) if gaps.size else None,
     }
@@ -204,6 +204,8 @@ def _run_baseline(cfg: RunConfig):
 
 def _run_sweep(cfg: RunConfig):
     omega = cfg.omega
+    if omega == 0:
+        raise ValueError("sweep requires omega > 0")
     lo = cfg.gamma_min if cfg.gamma_min is not None else 4.0 * omega
     hi = cfg.gamma_max if cfg.gamma_max is not None else 64.0 * omega
     gammas = np.geomspace(lo, hi, cfg.sweep_points)

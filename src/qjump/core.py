@@ -125,6 +125,8 @@ def waiting_time_tail_cutoff(params: ModelParams, mass_tol=1e-12):
 
     Uses the secular bound gamma*I(tau) >= 3*gamma*tau/8 - gamma/omega.
     """
+    if params.omega == 0:
+        raise ValueError("waiting_time_tail_cutoff requires omega > 0")
     return (8.0 / (3.0 * params.gamma)) * (
         -math.log(mass_tol) + params.gamma / params.omega
     )

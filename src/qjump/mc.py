@@ -8,17 +8,19 @@ per variate, sized to the trajectories still active, and applies masks.
 
 Streams are keyed by (seed, block): trajectories 0..BLOCK-1 of an ensemble
 share SeededSource(seed, 0), the next BLOCK share SeededSource(seed, 1), and
-so on.  Workers get contiguous runs of blocks, so an ensemble is
-bit-identical for any QJUMP_THREADS.  An ensemble of n is not a prefix of a
-larger one, and simulate(SeededSource(seed, i)) is not its trajectory i.
+so on.  An ensemble of n is not a prefix of a larger one, and
+simulate(SeededSource(seed, i)) is not its trajectory i.
+
+Emission times come back as one columnar table (`Emissions`), the list
+layout of the Arrow columnar format: one flat array of times and one offset
+per trajectory boundary.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,39 +47,51 @@ class SeededSource:
         return np.random.default_rng((self.seed, self.stream_id))
 
 
-@dataclass
-class Trajectory:
-    """One piecewise-deterministic path: drift segments and tagged jumps."""
-
-    segments: list = field(default_factory=list)  # (t_start, theta_start)
-    jumps: list = field(default_factory=list)  # (t, theta_before, emitted)
-    horizon: float = 0.0
-    omega: float = 0.0
-
-    def angle_at(self, t):
-        """Angle at time t in [0, horizon]."""
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        t_seg, th_seg = self.segments[0]
-        for seg in self.segments:
-            if seg[0] > t:
-                break
-            t_seg, th_seg = seg
-        return reduce_angle(th_seg + 0.5 * self.omega * (t - t_seg))
-
-
-@dataclass
-class EmissionRecord:
-    """Photon-emission times of one trajectory, censored at t_end."""
+class EmissionTimes(NamedTuple):
+    """Emission times of one trajectory: a view into an `Emissions` table."""
 
     times: np.ndarray
     t_end: float
 
-    def __post_init__(self):
-        t = self.times = np.asarray(self.times, dtype=float)
-        # np.diff is the costly part, and it is empty below two times
-        if t.size and (t[-1] > self.t_end or t.size > 1 and np.any(np.diff(t) <= 0)):
-            raise ValueError("emission times must be increasing and <= t_end")
+
+class Emissions:
+    """Photon-emission times of many trajectories, censored at t_end.
+
+    The i-th trajectory owns times[offsets[i]:offsets[i+1]]: the times increase
+    within a trajectory and may drop across a boundary.  len() is the number
+    of trajectories; indexing and iteration give `EmissionTimes` views.
+    """
+
+    def __init__(self, times, offsets, t_end):
+        self.times = np.asarray(times, dtype=float)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.t_end = t_end
+        t, off = self.times, self.offsets
+        if not (t.ndim == off.ndim == 1 and off.size and off[0] == 0
+                and off[-1] == t.size and np.all(np.diff(off) >= 0)):
+            raise ValueError("offsets must rise from 0 to the number of times")
+        inside = np.all((t > 0) & (t <= t_end))
+        if not (inside and np.all(np.diff(t)[self._inner()] > 0)):
+            raise ValueError("emission times must lie in (0, t_end] and increase")
+
+    def _inner(self):
+        """Mask of the np.diff(times) entries within one trajectory."""
+        inner = np.ones(self.times.size + 1, dtype=bool)
+        inner[self.offsets] = False  # times[k] starts a trajectory
+        return inner[1:-1]
+
+    def __len__(self):
+        return self.offsets.size - 1
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # negative indices count from the end
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return EmissionTimes(self.times[a:b], self.t_end)
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            yield EmissionTimes(self.times[a:b], self.t_end)
 
 
 def _check_horizon(horizon, name="horizon"):
@@ -133,57 +147,27 @@ def simulate(
     horizon: float,
     src: SeededSource,
 ):
-    """Simulate one trajectory; returns (Trajectory, EmissionRecord)."""
+    """Simulate one trajectory; returns (jumps, Emissions).
+
+    jumps lists (t, theta_before, emitted) for every jump in time order.
+    """
     _check_horizon(horizon)
     jumps = []
     times, _, _ = _kernel(params, semantics, horizon, src.rng(), 1, jumps)
-    segments = [(0.0, params.theta0)] + [(t, 0.0) for t, _, _ in jumps]
-    traj = Trajectory(
-        segments=segments, jumps=jumps, horizon=horizon, omega=params.omega
-    )
-    return traj, EmissionRecord(times, horizon)
-
-
-def _worker(args):
-    params, semantics, horizon, seed, n, lo, hi = args
-    return [
-        _kernel(
-            params, semantics, horizon, SeededSource(seed, b).rng(),
-            min(BLOCK, n - b * BLOCK),
-        )
-        for b in range(lo, hi)
-    ]
-
-
-def _n_workers():
-    value = os.environ.get("QJUMP_THREADS", "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"QJUMP_THREADS must be an integer >= 1, got {value!r}")
-    return workers
+    return jumps, Emissions(times, [0, times.size], horizon)
 
 
 def _run_ensemble(params, semantics, horizon, seed, n):
     """(times, counts, theta) of n trajectories, BLOCK per stream."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    SeededSource(seed)  # validates seed
-    n_blocks = -(-n // BLOCK)
-    workers = min(_n_workers(), n_blocks)
-    bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
-    tasks = [
-        (params, semantics, horizon, seed, n, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
+    parts = [
+        _kernel(
+            params, semantics, horizon, SeededSource(seed, b).rng(),
+            min(BLOCK, n - b * BLOCK),
+        )
+        for b in range(-(-n // BLOCK))
     ]
-    if workers == 1:
-        parts = _worker(tasks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # results come back in block order whatever the scheduling
-            parts = [p for chunk in pool.map(_worker, tasks) for p in chunk]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -193,14 +177,13 @@ def ensemble_records(
     horizon: float,
     seed: int,
     n: int,
-) -> list[EmissionRecord]:
-    """Emission records of n trajectories with block-keyed seeded streams."""
+) -> Emissions:
+    """Emission table of n trajectories with block-keyed seeded streams."""
     _check_horizon(horizon)
     times, counts, _ = _run_ensemble(params, semantics, horizon, seed, n)
-    ends = np.cumsum(counts).tolist()
-    return [
-        EmissionRecord(times[a:b], horizon) for a, b in zip([0] + ends[:-1], ends)
-    ]
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return Emissions(times, offsets, horizon)
 
 
 def ensemble_theta_at(
@@ -220,6 +203,8 @@ def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:
     angles = np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValueError("empty ensemble")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
     idx = ((reduce_angle(angles) + np.pi / 2) // grid.cell_width).astype(int)
     idx = np.clip(idx, 0, grid.n_cells - 1)
     counts = np.bincount(idx, minlength=grid.n_cells).astype(float)
@@ -227,40 +212,25 @@ def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:
     return ProbabilityField(grid, values)
 
 
-def ensemble_histogram_theta(
-    trajectories: list[Trajectory], t: float, grid: ThetaGrid
-) -> ProbabilityField:
-    """Ensemble law of theta at time t as a normalized histogram."""
-    if not trajectories:
-        raise ValueError("empty ensemble")
-    angles = [traj.angle_at(t) for traj in trajectories]
-    fld = histogram_from_angles(angles, grid)
-    fld.time = t
-    return fld
-
-
 def interarrival_samples(
-    records: list[EmissionRecord], origin_anchored: bool = False
+    emissions: Emissions, origin_anchored: bool = False
 ) -> np.ndarray:
-    """Pooled successive emission-time differences.
+    """Pooled successive emission-time differences, sorted.
 
-    With origin_anchored=True the first emission time of each record is also
-    counted as an interval, which is valid when a photon is emitted at t=0 by
-    construction (trajectory started at theta=0).  Intervals censored by the
-    horizon are discarded.
+    With origin_anchored=True the first emission time of each trajectory is
+    also counted as an interval, which is valid when a photon is emitted at
+    t=0 by construction (trajectory started at theta=0).  Intervals censored
+    by the horizon are discarded.
     """
-    pooled = []
-    for rec in records:
-        if rec.times.size == 0:
-            continue
-        if origin_anchored:
-            pooled.append(rec.times[0])
-        pooled.extend(np.diff(rec.times))
-    return np.sort(np.asarray(pooled, dtype=float))
+    gaps = np.diff(emissions.times)[emissions._inner()]
+    if origin_anchored:
+        starts = emissions.offsets[:-1][np.diff(emissions.offsets) > 0]
+        gaps = np.concatenate([emissions.times[starts], gaps])
+    return np.sort(gaps)
 
 
-def ever_emitted_fraction(records: list[EmissionRecord]) -> float:
-    """Fraction of records containing at least one emission."""
-    if not records:
+def ever_emitted_fraction(emissions: Emissions) -> float:
+    """Fraction of trajectories with at least one emission."""
+    if not len(emissions):
         raise ValueError("empty ensemble")
-    return sum(1 for rec in records if rec.times.size > 0) / len(records)
+    return int(np.count_nonzero(np.diff(emissions.offsets))) / len(emissions)

@@ -95,6 +95,8 @@ def init_delta(grid: ThetaGrid, theta0: float) -> ProbabilityField:
     theta0 so that the deposited first moment matches theta0 exactly; a
     single-cell spike would bias the represented angle by up to half a cell.
     """
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
     theta0 = reduce_angle(theta0)
     dx = grid.cell_width
     # position in units of cells, measured from the center of cell 0
@@ -343,6 +345,8 @@ def solve(
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     if theta0 is None:
         theta0 = params.theta0
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
 
     dx = grid.cell_width
     s2 = np.sin(grid.centers) ** 2

@@ -128,16 +128,3 @@ def l1_distance(a: DelayDistribution, b: DelayDistribution) -> float:
     fb = np.interp(grid, bn.tau_grid, bn.density, left=0.0, right=0.0)
     return float(np.trapezoid(np.abs(fa - fb), grid))
 
-
-def renewal_form_residual(dist: DelayDistribution, intensity) -> float:
-    """Max deviation of a density from the renewal form lam*exp(-int lam).
-
-    Diagnostic only: measures how far `dist` is from the waiting-time law of
-    an inhomogeneous Poisson process with the given intensity function.
-    """
-    lam = np.asarray(intensity(dist.tau_grid), dtype=float)
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (lam[1:] + lam[:-1]) * np.diff(dist.tau_grid))]
-    )
-    renewal = lam * np.exp(-cum)
-    return float(np.max(np.abs(dist.density - renewal)))

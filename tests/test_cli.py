@@ -229,6 +229,8 @@ def test_unused_model_flags_rejected(tmp_path, argv):
         (["pde", "--dt", "nan"], "dt"),
         (["delay", "--horizon", "nan"], "horizon"),
         (["baseline", "--horizon", "inf"], "horizon"),
+        (["delay", "--omega", "0"], "omega"),
+        (["sweep", "--omega", "0"], "omega"),
     ],
 )
 def test_non_finite_flag_named(tmp_path, capsys, argv, name):

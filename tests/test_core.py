@@ -106,10 +106,18 @@ class TestWaitingTime:
         assert core.waiting_time_density(0.0, p) == 0.0
 
     def test_rejects_zero_omega(self):
+        p = ModelParams(0.0, 1.0)
         with pytest.raises(ValueError):
-            core.waiting_time_density(1.0, ModelParams(0.0, 1.0))
+            core.waiting_time_density(1.0, p)
         with pytest.raises(ValueError):
-            core.waiting_time_cdf(1.0, ModelParams(0.0, 1.0))
+            core.waiting_time_cdf(1.0, p)
+        for law in (
+            core.waiting_time_tail_cutoff,
+            core.waiting_time_normalization,
+            core.mean_waiting_time,
+        ):
+            with pytest.raises(ValueError, match="requires omega > 0"):
+                law(p)
 
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qjump import core, mc, pde, stats
 from qjump.core import JumpSemantics, ModelParams
-from qjump.mc import EmissionRecord, SeededSource
+from qjump.mc import Emissions, SeededSource
 
 LITERAL = JumpSemantics.KOLMOGOROV_LITERAL
 EMISSION = JumpSemantics.EMISSION_ONLY
@@ -17,9 +17,9 @@ EMISSION = JumpSemantics.EMISSION_ONLY
 class TestDeterminism:
     def test_same_source_same_trajectory(self):
         p = ModelParams(2.0, 1.0)
-        t1, r1 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 3))
-        t2, r2 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 3))
-        assert t1.jumps == t2.jumps
+        j1, r1 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 3))
+        j2, r2 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 3))
+        assert j1 == j2
         assert np.array_equal(r1.times, r2.times)
 
     def test_different_stream_differs(self):
@@ -28,25 +28,6 @@ class TestDeterminism:
         _, r2 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 1))
         assert not np.array_equal(r1.times, r2.times)
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        # three blocks, the last one partial: 1, 2 and 3 workers split them
-        # differently, and every split must give the same bits
-        p = ModelParams(3.33, 1.0)
-        n = 2 * mc.BLOCK + 17
-        runs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("QJUMP_THREADS", threads)
-            recs = mc.ensemble_records(p, EMISSION, 3.0, 5, n)
-            theta = mc.ensemble_theta_at(p, LITERAL, 3.0, 5, n)
-            runs.append((np.concatenate([r.times for r in recs]),
-                         [r.times.size for r in recs], theta))
-        serial = runs[0]
-        assert len(serial[1]) == n and sum(serial[1]) > 0
-        for times, counts, theta in runs[1:]:
-            assert np.array_equal(times, serial[0])
-            assert counts == serial[1]
-            assert np.array_equal(theta, serial[2])
-
 
 class TestEnsembleInputs:
     @pytest.mark.parametrize("n", [0, -3])
@@ -54,12 +35,6 @@ class TestEnsembleInputs:
     def test_rejects_empty_ensemble(self, ensemble, n):
         with pytest.raises(ValueError, match=r"\bn\b"):
             ensemble(ModelParams(2.0, 1.0), LITERAL, 5.0, 0, n)
-
-    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
-    def test_rejects_bad_thread_count(self, monkeypatch, value):
-        monkeypatch.setenv("QJUMP_THREADS", value)
-        with pytest.raises(ValueError, match="QJUMP_THREADS"):
-            mc.ensemble_records(ModelParams(2.0, 1.0), LITERAL, 5.0, 0, 4)
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_bad_horizon(self, horizon):
@@ -101,10 +76,10 @@ class TestEnsembleInputs:
             bad.add("seed")
         try:
             if entry == "simulate":
-                traj, rec = mc.simulate(p, EMISSION, horizon, SeededSource(seed, n))
-                out = [rec.times, [t for t, _, _ in traj.jumps]]
+                jumps, rec = mc.simulate(p, EMISSION, horizon, SeededSource(seed, n))
+                out = [rec.times, [t for t, _, _ in jumps]]
             elif entry == "ensemble_records":
-                out = [r.times for r in mc.ensemble_records(p, LITERAL, horizon, seed, n)]
+                out = [mc.ensemble_records(p, LITERAL, horizon, seed, n).times]
             else:
                 out = [mc.ensemble_theta_at(p, LITERAL, horizon, seed, n)]
         except ValueError as exc:
@@ -118,28 +93,93 @@ class TestEnsembleInputs:
 class TestTrajectoryStructure:
     def test_tiny_gamma_pure_rabi_drift(self):
         p = ModelParams(2.0, 1e-9)
-        traj, rec = mc.simulate(p, LITERAL, 10.0, SeededSource(0))
+        jumps, rec = mc.simulate(p, LITERAL, 10.0, SeededSource(0))
         assert rec.times.size == 0
-        assert traj.jumps == []
-        assert traj.angle_at(0.7) == pytest.approx(core.drift_angle(0.7, p, 0.0))
+        assert jumps == []
+        theta = mc.ensemble_theta_at(p, LITERAL, 0.7, 0, 1)
+        assert theta[0] == pytest.approx(core.drift_angle(0.7, p, 0.0))
 
     def test_jump_times_strictly_increasing(self):
         p = ModelParams(3.0, 2.0)
-        traj, _ = mc.simulate(p, LITERAL, 100.0, SeededSource(1))
-        times = [t for t, _, _ in traj.jumps]
+        jumps, _ = mc.simulate(p, LITERAL, 100.0, SeededSource(1))
+        times = [t for t, _, _ in jumps]
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_emissions_subset_of_jumps(self):
         p = ModelParams(3.0, 2.0)
-        traj, rec = mc.simulate(p, LITERAL, 100.0, SeededSource(2))
-        emitted = [t for t, _, e in traj.jumps if e]
+        jumps, rec = mc.simulate(p, LITERAL, 100.0, SeededSource(2))
+        emitted = [t for t, _, e in jumps if e]
         assert np.array_equal(rec.times, emitted)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            EmissionRecord(np.array([2.0, 1.0]), 10.0)
+            Emissions([2.0, 1.0], [0, 2], 10.0)
         with pytest.raises(ValueError):
-            EmissionRecord(np.array([1.0, 20.0]), 10.0)
+            Emissions([1.0, 20.0], [0, 2], 10.0)
+
+
+class TestEmissionsTable:
+    # trajectories: [], [1, 2], [], [0.5, 4], []; 2.0 -> 0.5 crosses a boundary
+    TIMES, OFFSETS = [1.0, 2.0, 0.5, 4.0], [0, 0, 2, 2, 4, 4]
+
+    def test_empty_trajectories_first_middle_and_last(self):
+        em = Emissions(self.TIMES, self.OFFSETS, 5.0)
+        assert len(em) == 5
+        views = [rec.times.tolist() for rec in em]
+        assert views == [[], [1.0, 2.0], [], [0.5, 4.0], []]
+        assert [em[i].times.tolist() for i in range(-5, 5)] == views * 2
+        assert all(rec.t_end == 5.0 for rec in em)
+        with pytest.raises(IndexError):
+            em[5]
+        assert mc.ever_emitted_fraction(em) == 2 / 5
+        assert type(mc.ever_emitted_fraction(em)) is float
+
+    def test_interarrivals_skip_boundaries(self):
+        em = Emissions(self.TIMES, self.OFFSETS, 5.0)
+        assert np.array_equal(mc.interarrival_samples(em), [1.0, 3.5])
+        assert np.array_equal(
+            mc.interarrival_samples(em, origin_anchored=True), [0.5, 1.0, 1.0, 3.5]
+        )
+
+    def test_one_trajectory(self):
+        em = Emissions([0.25, 3.0], [0, 2], 3.0)
+        assert len(em) == 1
+        assert em[0].times.tolist() == [0.25, 3.0]
+        assert np.array_equal(mc.interarrival_samples(em), [2.75])
+        assert mc.ever_emitted_fraction(em) == 1.0
+
+    @pytest.mark.parametrize(
+        "times, offsets",
+        [
+            ([1.0, 1.0], [0, 2]),  # equal pair within a trajectory
+            ([0.5, 2.0, 1.0], [0, 1, 3]),  # decrease within the second
+            ([1.0, 6.0], [0, 1, 2]),  # beyond t_end
+            ([0.0], [0, 1]),  # not after the start
+            ([math.nan], [0, 1]),
+            ([1.0, 2.0], [0, 3]),  # offsets past the times
+            ([1.0, 2.0], [1, 2]),  # offsets not from 0
+            ([1.0, 2.0], [0, 2, 1, 2]),  # offsets decrease
+            ([], []),
+        ],
+    )
+    def test_validation_rejects(self, times, offsets):
+        with pytest.raises(ValueError):
+            Emissions(times, offsets, 5.0)
+
+    def test_summaries_match_per_trajectory_loop(self):
+        em = mc.ensemble_records(ModelParams(3.33, 1.0), LITERAL, 8.0, 6, 300)
+        pooled, anchored = [], []
+        for rec in em:
+            if rec.times.size:
+                anchored.append(rec.times[0])
+            pooled.extend(np.diff(rec.times))
+        assert len(pooled) > 100
+        assert np.array_equal(mc.interarrival_samples(em), np.sort(pooled))
+        assert np.array_equal(
+            mc.interarrival_samples(em, origin_anchored=True),
+            np.sort(pooled + anchored),
+        )
+        assert mc.ever_emitted_fraction(em) == len(anchored) / 300
 
 
 class TestNoPump:
@@ -199,15 +239,17 @@ class TestBlockLayout:
 
 class TestInterarrivals:
     def test_pooling(self):
-        rec = EmissionRecord(np.array([1.0, 3.0, 6.0]), 10.0)
-        assert np.array_equal(mc.interarrival_samples([rec]), [2.0, 3.0])
+        rec = Emissions([1.0, 3.0, 6.0], [0, 3], 10.0)
+        assert np.array_equal(mc.interarrival_samples(rec), [2.0, 3.0])
         assert np.array_equal(
-            mc.interarrival_samples([rec], origin_anchored=True), [1.0, 2.0, 3.0]
+            mc.interarrival_samples(rec, origin_anchored=True), [1.0, 2.0, 3.0]
         )
 
     def test_empty_record(self):
-        rec = EmissionRecord(np.array([]), 10.0)
-        assert mc.interarrival_samples([rec]).size == 0
+        rec = Emissions([], [0, 0], 10.0)
+        assert mc.interarrival_samples(rec).size == 0
+        assert mc.interarrival_samples(rec, origin_anchored=True).size == 0
+        assert mc.ever_emitted_fraction(rec) == 0.0
 
     def test_emission_only_matches_analytic_law(self):
         p = ModelParams(3.33, 1.0)
@@ -222,8 +264,8 @@ class TestHistograms:
     def test_single_trajectory_delta(self):
         p = ModelParams(2.0, 1e-9)
         grid = pde.ThetaGrid(64)
-        traj, _ = mc.simulate(p, LITERAL, 2.0, SeededSource(0))
-        h = mc.ensemble_histogram_theta([traj], 1.0, grid)
+        theta = mc.ensemble_theta_at(p, LITERAL, 1.0, 0, 1)
+        h = mc.histogram_from_angles(theta, grid)
         assert h.total_mass() == pytest.approx(1.0)
         peak = grid.cell_of(core.drift_angle(1.0, p, 0.0))
         assert h.values[peak] > 0
@@ -231,15 +273,19 @@ class TestHistograms:
     def test_t0_reproduces_initial_condition(self):
         p = ModelParams(2.0, 1.0, 0.3)
         grid = pde.ThetaGrid(64)
-        trajs = [mc.simulate(p, LITERAL, 5.0, SeededSource(0, i))[0] for i in range(10)]
-        h = mc.ensemble_histogram_theta(trajs, 0.0, grid)
+        # no jump is drawn in 1e-12 time units: every angle is still theta0
+        theta = mc.ensemble_theta_at(p, LITERAL, 1e-12, 0, 10)
+        h = mc.histogram_from_angles(theta, grid)
         assert h.values[grid.cell_of(0.3)] * grid.cell_width == pytest.approx(1.0)
 
     def test_empty_ensemble_raises(self):
         with pytest.raises(ValueError):
-            mc.ensemble_histogram_theta([], 1.0, pde.ThetaGrid(64))
-        with pytest.raises(ValueError):
             mc.histogram_from_angles(np.array([]), pde.ThetaGrid(64))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        with pytest.raises(ValueError, match="angles"):
+            mc.histogram_from_angles(np.array([bad, 0.1]), pde.ThetaGrid(64))
 
     def test_matches_pde_snapshot(self):
         p = ModelParams(3.33, 1.0)
@@ -261,9 +307,7 @@ class TestEmissionRateIdentity:
         p = ModelParams(3.33, 1.0)
         t, w, n = 4.0, 0.5, 20000
         recs = mc.ensemble_records(p, LITERAL, t + w, 37, n)
-        counts = sum(
-            np.sum((rec.times >= t) & (rec.times < t + w)) for rec in recs
-        )
+        counts = np.sum((recs.times >= t) & (recs.times < t + w))
         th = mc.ensemble_theta_at(p, LITERAL, t + 0.5 * w, 41, n)
         predicted = float(np.mean(core.emission_intensity(th, p.gamma)))
         assert counts / (n * w) == pytest.approx(predicted, rel=0.1)

@@ -194,19 +194,29 @@ class TestSolve:
             pde.solve(p, ThetaGrid(64), -1.0, 0.01)
 
     @pytest.mark.parametrize(
-        "name, t_end, dt",
+        "name, t_end, dt, theta0",
         [
-            ("t_end", math.nan, 0.01),
-            ("t_end", math.inf, 0.01),
-            ("t_end", -math.inf, 0.01),
-            ("dt", 1.0, math.nan),
-            ("dt", 1.0, math.inf),
-            ("t_end", 1e300, 1e-10),
+            *(
+                pytest.param(name, t_end, dt, None, id=f"{name}-{t_end}-{dt}")
+                for name, t_end, dt in [
+                    ("t_end", math.nan, 0.01),
+                    ("t_end", math.inf, 0.01),
+                    ("t_end", -math.inf, 0.01),
+                    ("dt", 1.0, math.nan),
+                    ("dt", 1.0, math.inf),
+                    ("t_end", 1e300, 1e-10),
+                ]
+            ),
+            pytest.param("theta0", 1.0, 0.01, math.nan, id="theta0-nan"),
+            pytest.param("theta0", 1.0, 0.01, math.inf, id="theta0-inf"),
         ],
     )
-    def test_non_finite_input_names_parameter(self, name, t_end, dt):
+    def test_non_finite_input_names_parameter(self, name, t_end, dt, theta0):
         with pytest.raises(ValueError, match=name):
-            pde.solve(ModelParams(1.0, 1.0), ThetaGrid(64), t_end, dt)
+            pde.solve(ModelParams(1.0, 1.0), ThetaGrid(64), t_end, dt, theta0=theta0)
+        if theta0 is not None:
+            with pytest.raises(ValueError, match="theta0"):
+                pde.init_delta(ThetaGrid(64), theta0)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_step_rejects_non_finite_dt(self, dt):

@@ -148,11 +148,3 @@ class TestDistances:
         a = analytic_distribution(p, 40.0)
         b = analytic_distribution(ModelParams(1.0, 1.0), 40.0)
         assert stats.l1_distance(a, b) == pytest.approx(stats.l1_distance(b, a))
-
-    def test_renewal_form_residual_vanishes_for_renewal_density(self):
-        p = ModelParams(2.0, 1.0)
-        d = analytic_distribution(p, 30.0, n=20000)
-        res = stats.renewal_form_residual(
-            d, lambda t: core.emission_intensity(0.5 * p.omega * t, p.gamma)
-        )
-        assert res < 1e-4
