@@ -204,10 +204,17 @@ def _run_baseline(cfg: RunConfig):
 
 def _run_sweep(cfg: RunConfig):
     omega = cfg.omega
-    if omega == 0:
-        raise ValueError("sweep requires omega > 0")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"sweep requires finite omega > 0, got {omega}")
     lo = cfg.gamma_min if cfg.gamma_min is not None else 4.0 * omega
     hi = cfg.gamma_max if cfg.gamma_max is not None else 64.0 * omega
+    for flag, value in (("--gamma-min", lo), ("--gamma-max", hi)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and > 0, got {value}")
+    if lo == hi:
+        raise ValueError(f"--gamma-min and --gamma-max must differ, both are {lo}")
+    if cfg.sweep_points < 3:
+        raise ValueError(f"--sweep-points must be >= 3, got {cfg.sweep_points}")
     gammas = np.geomspace(lo, hi, cfg.sweep_points)
     means = np.array(
         [core.mean_waiting_time(core.ModelParams(omega, g)) for g in gammas]

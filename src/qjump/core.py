@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 HALF_PI = math.pi / 2.0
+# Gauss-Legendre nodes per panel, and panels evaluated per block, of the
+# waiting-time moments
+_PANEL_NODES = 32
+_PANELS_PER_BLOCK = 2048
 
 
 class JumpSemantics(enum.Enum):
@@ -132,30 +135,42 @@ def waiting_time_tail_cutoff(params: ModelParams, mass_tol=1e-12):
     )
 
 
-def waiting_time_normalization(params: ModelParams):
-    """Adaptive quadrature of the waiting-time density over [0, inf)."""
+def _tail_panels(params: ModelParams):
+    """Gauss-Legendre nodes and weights on [0, T], T = waiting_time_tail_cutoff.
+
+    [0, T] is cut into equal panels no wider than min(2 pi/omega, 2 tau_K, T),
+    with tau_K = weak_field_delay_scale: a drive period bounds the panel in the
+    strong field, tau_K in the weak field, where one period holds all the mass.
+    Yields (nodes, weights) a block of panels at a time, so memory stays
+    bounded however many periods T spans.
+    """
     T = waiting_time_tail_cutoff(params)
-    n_periods = max(1, int(params.omega * T / (2.0 * math.pi)) + 1)
-    val, _ = quad(
-        lambda t: float(waiting_time_density(t, params)),
-        0.0,
-        T,
-        limit=max(200, 10 * n_periods),
+    tau_k = weak_field_delay_scale(params)
+    width = min(2.0 * math.pi / params.omega, 2.0 * tau_k, T)
+    n_panels = math.ceil(T / width)
+    h = T / n_panels
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    offsets = 0.5 * h * (x + 1.0)
+    weights = 0.5 * h * w
+    for start in range(0, n_panels, _PANELS_PER_BLOCK):
+        left = h * np.arange(start, min(start + _PANELS_PER_BLOCK, n_panels))
+        nodes = (left[:, None] + offsets).ravel()
+        yield nodes, np.tile(weights, left.size)
+
+
+def waiting_time_normalization(params: ModelParams):
+    """Mass of the waiting-time density on [0, T], by Gauss-Legendre panels."""
+    return sum(
+        float(w @ waiting_time_density(t, params)) for t, w in _tail_panels(params)
     )
-    return val
 
 
 def mean_waiting_time(params: ModelParams):
-    """Mean inter-emission delay, by adaptive quadrature of tau*density."""
-    T = waiting_time_tail_cutoff(params)
-    n_periods = max(1, int(params.omega * T / (2.0 * math.pi)) + 1)
-    val, _ = quad(
-        lambda t: t * float(waiting_time_density(t, params)),
-        0.0,
-        T,
-        limit=max(200, 10 * n_periods),
+    """Mean inter-emission delay, by Gauss-Legendre panels of tau*density."""
+    return sum(
+        float(w @ (t * waiting_time_density(t, params)))
+        for t, w in _tail_panels(params)
     )
-    return val
 
 
 def no_pump_excited_population(t, params: ModelParams):

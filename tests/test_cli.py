@@ -231,8 +231,17 @@ def test_unused_model_flags_rejected(tmp_path, argv):
         (["baseline", "--horizon", "inf"], "horizon"),
         (["delay", "--omega", "0"], "omega"),
         (["sweep", "--omega", "0"], "omega"),
+        (["sweep", "--gamma-min", "4", "--gamma-max", "4"], "gamma-min"),
+        (["sweep", "--omega", "1", "--gamma-max", "4"], "gamma-max"),
+        (["sweep", "--gamma-min", "0"], "gamma-min"),
+        (["sweep", "--gamma-min", "-1", "--gamma-max", "4"], "gamma-min"),
+        (["sweep", "--gamma-max", "nan"], "gamma-max"),
+        (["sweep", "--gamma-max", "inf"], "gamma-max"),
+        (["sweep", "--sweep-points", "2"], "sweep-points"),
+        (["sweep", "--omega", "inf"], "omega"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_flag_named(tmp_path, capsys, argv, name):
     rc = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
     assert rc == 2

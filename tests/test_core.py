@@ -155,6 +155,45 @@ class TestWaitingTime:
         assert np.max(np.abs(trapz - cdf)) < 1e-4
 
 
+MOMENT_RATIOS = [1e-3, 1.0 / 6.0, 1.0, 3.33, 10.0, 100.0]
+
+
+def quad_per_period(params, f):
+    """Oracle: adaptive quadrature of f over [0, T], one call per drive period,
+    with a relative tolerance only, so the result does not depend on 1/gamma."""
+    T = core.waiting_time_tail_cutoff(params)
+    edges = np.append(np.arange(0.0, T, 2 * math.pi / params.omega), T)
+    return sum(
+        quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+class TestWaitingTimeMoments:
+    @pytest.mark.parametrize("gamma", [1.0, 1e4])
+    @pytest.mark.parametrize("ratio", MOMENT_RATIOS)
+    def test_mean_against_quadrature(self, ratio, gamma):
+        p = ModelParams(ratio * gamma, gamma)
+        oracle = quad_per_period(
+            p, lambda t: t * float(core.waiting_time_density(t, p))
+        )
+        assert core.mean_waiting_time(p) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e4])
+    @pytest.mark.parametrize("ratio", MOMENT_RATIOS)
+    def test_normalization_is_one(self, ratio, gamma):
+        p = ModelParams(ratio * gamma, gamma)
+        assert core.waiting_time_normalization(p) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("ratio", MOMENT_RATIOS)
+    def test_scaled_mean_independent_of_gamma(self, ratio):
+        # the mean scales as 1/gamma at fixed omega/gamma
+        small, large = (
+            g * core.mean_waiting_time(ModelParams(ratio * g, g)) for g in (1.0, 1e4)
+        )
+        assert large == pytest.approx(small, rel=1e-10)
+
+
 class TestNoPump:
     def test_initial_value(self):
         p = ModelParams(0.0, 1.0, math.pi / 4)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kolmogorov
 
 from qjump import core, stats
 from qjump.core import ModelParams
@@ -63,6 +64,38 @@ class TestKsTest:
         assert d1 == pytest.approx(d2, abs=1e-12)
 
 
+# ks_test p-values of seeded exponential samples, as scipy.special.kolmogorov
+# gave them: (seed, size, rate of the tested cdf) -> p-value
+KS_P_VALUES = {
+    (0, 10_000, 1.0): 0.3797451081357946,
+    (1, 10_000, 1.0): 0.8468976785739519,
+    (2, 10_000, 1.0): 0.21280621285782206,
+    (0, 5000, 2.0): 3.1442132878421917e-279,
+    (1, 100, 1.0): 0.9882867249515628,
+    (2, 500, 1.0): 0.16335495927669338,
+}
+
+
+class TestKolmogorovSeries:
+    x = np.linspace(0.0, 5.0, 5001)
+
+    def test_matches_scipy(self):
+        series = np.array([stats._kolmogorov_sf(v) for v in self.x])
+        np.testing.assert_allclose(series, kolmogorov(self.x), rtol=0, atol=1e-12)
+
+    def test_one_at_zero_and_non_increasing(self):
+        assert stats._kolmogorov_sf(0.0) == 1.0
+        series = np.array([stats._kolmogorov_sf(v) for v in self.x])
+        assert np.all(np.diff(series) <= 0.0)
+
+    @pytest.mark.parametrize("case", list(KS_P_VALUES))
+    def test_seeded_p_values_unchanged(self, case):
+        seed, size, rate = case
+        x = np.random.default_rng(seed).exponential(size=size)
+        rep = stats.ks_test(x, lambda v: 1.0 - np.exp(-rate * v))
+        assert rep.p_value == pytest.approx(KS_P_VALUES[case], rel=0, abs=1e-12)
+
+
 class TestMeanDelay:
     def test_exponential_mean(self):
         gamma = 2.0
@@ -122,6 +155,8 @@ class TestScalingRegression:
             stats.scaling_regression([(1.0, 2.0), (2.0, 3.0)])
         with pytest.raises(ValueError):
             stats.scaling_regression([(1.0, 2.0), (2.0, -3.0), (3.0, 1.0)])
+        with pytest.raises(ValueError, match="distinct"):
+            stats.scaling_regression([(4.0, 2.0), (4.0, 2.5), (4.0, 3.0)])
 
 
 class TestEmpiricalDistribution:
