@@ -20,6 +20,9 @@ HALF_PI = math.pi / 2.0
 # waiting-time moments
 _PANEL_NODES = 32
 _PANELS_PER_BLOCK = 2048
+# most steps time_steps allows: pde.solve keeps about 55 bytes per step,
+# 0.55 GB at this count
+MAX_STEPS = 10**7
 
 
 class JumpSemantics(enum.Enum):
@@ -58,14 +61,14 @@ def time_steps(t_end, dt):
 
     A ratio t_end/dt within 1e-13 (relative) of a whole number counts as that
     number, so t_end = n*dt gives n steps and not n + 1 from round-off; h
-    then exceeds dt by at most that tolerance.
+    then exceeds dt by at most that tolerance.  n is at most MAX_STEPS.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     ratio = t_end / dt
-    if not math.isfinite(ratio):
-        raise ValueError(f"t_end/dt overflows: t_end={t_end}, dt={dt}")
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"t_end/dt must be at most {MAX_STEPS}: t_end={t_end}, dt={dt}")
     n = max(1, math.ceil(ratio * (1.0 - 1e-13)))
     return n, t_end / n
 

@@ -4,7 +4,10 @@ The scheme is operator-split per step: first-order upwind transport at speed
 omega/2 on the periodic cell [-pi/2, pi/2), then an exact exponential sink
 gamma*sin^2(theta) per cell with all removed mass reinjected into the cell
 containing theta = 0.  Mass is conserved to round-off and positivity is
-unconditional.
+unconditional.  At Courant number 1 the transport is an exact shift in
+floating point.  `ThetaGrid` computes sin^2, sin^4 and sin(2 theta) at its
+cell centers once; the step, `populations` and the two dot products of
+`population_rate` read them.
 
 At a fixed step the update is one column-stochastic n x n matrix A, a
 Markov-chain approximation in the sense of Kushner and Dupuis; `StepOperator`
@@ -21,6 +24,7 @@ matrix powers to pay, runs the stencil step by step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,21 +48,33 @@ MAX_BLOCK_CELLS = 1024
 
 @dataclass
 class ThetaGrid:
-    """Uniform periodic grid of n_cells cells covering [-pi/2, pi/2)."""
+    """Uniform periodic grid of n_cells cells covering [-pi/2, pi/2).
+
+    It owns the trigonometric tables at the cell centers that the step, the
+    populations and the population rate read: sin2 = sin^2, sin4 = sin^4 and
+    sin_2theta = sin(2 theta).
+    """
 
     n_cells: int = DEFAULT_N_CELLS
     cell_width: float = field(init=False)
     centers: np.ndarray = field(init=False)
     source_index: int = field(init=False)
+    sin2: np.ndarray = field(init=False, repr=False)
+    sin4: np.ndarray = field(init=False, repr=False)
+    sin_2theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_cells < 16:
-            raise ValueError(f"n_cells must be >= 16, got {self.n_cells}")
+        if not (isinstance(self.n_cells, numbers.Integral) and self.n_cells >= 16):
+            raise ValueError(f"n_cells must be an integer >= 16, got {self.n_cells!r}")
         self.cell_width = math.pi / self.n_cells
         edges = -HALF_PI + self.cell_width * np.arange(self.n_cells + 1)
         self.centers = 0.5 * (edges[:-1] + edges[1:])
         # cell whose half-open interval [left, right) contains theta = 0
         self.source_index = int(np.searchsorted(edges, 0.0, side="right") - 1)
+        sin = np.sin(self.centers)
+        self.sin2 = sin * sin
+        self.sin4 = self.sin2 * self.sin2
+        self.sin_2theta = np.sin(2.0 * self.centers)
 
     def cell_of(self, theta):
         """Index of the cell containing the reduced angle theta."""
@@ -78,8 +94,9 @@ class ProbabilityField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_cells,):
             raise ValueError("values must have one entry per grid cell")
-        if np.any(self.values < 0):
-            raise ValueError("densities must be nonnegative")
+        # min is NaN if any value is; max catches +inf
+        if not 0.0 <= self.values.min() <= self.values.max() < math.inf:
+            raise ValueError("densities must be finite and nonnegative")
 
     def total_mass(self):
         return float(np.sum(self.values) * self.grid.cell_width)
@@ -137,24 +154,28 @@ class StepOperator:
     """One split step of size dt as a fixed linear map A on the cell densities.
 
     Built once per (params, grid, dt): it owns the Courant number, the
-    per-cell survival factors and the source cell.
+    per-cell survival factors and their complements, the loss factors.
+    Transport is the convex combination (1 - c) v + c upwind, which at
+    Courant number c = 1 is an exact shift in floating point.
     """
 
     def __init__(self, params: ModelParams, grid: ThetaGrid, dt: float):
         _check_dt(params, grid, dt)
         self.grid = grid
         self.courant = 0.5 * params.omega * dt / grid.cell_width
-        self.survival = np.exp(-params.gamma * np.sin(grid.centers) ** 2 * dt)
+        self.survival = np.exp(-params.gamma * grid.sin2 * dt)
+        self.loss = 1.0 - self.survival
 
     def apply(self, values):
         """A along the last axis: upwind transport, then sink + source reinjection."""
-        if self.courant > 0.0:
+        c = self.courant
+        if c > 0.0:
             upwind = np.concatenate((values[..., -1:], values[..., :-1]), axis=-1)
-            values = values - self.courant * (values - upwind)
-        removed = values * (1.0 - self.survival)
-        values = values * self.survival
+            values = (1.0 - c) * values + c * upwind
         # density increment = removed mass / cell_width = sum of removed densities
-        values[..., self.grid.source_index] += np.sum(removed, axis=-1)
+        removed = (values * self.loss).sum(axis=-1)
+        values = values * self.survival
+        values[..., self.grid.source_index] += removed
         return values
 
     def matrix(self):
@@ -171,7 +192,7 @@ def step(field: ProbabilityField, params: ModelParams, dt: float) -> Probability
 def populations(field: ProbabilityField):
     """(rho0, rho1): ground and excited populations of the field."""
     dx = field.grid.cell_width
-    s2 = np.sin(field.grid.centers) ** 2
+    s2 = field.grid.sin2
     rho1 = float(np.sum(field.values * s2) * dx)
     rho0 = float(np.sum(field.values * (1.0 - s2)) * dx)
     return rho0, rho1
@@ -179,9 +200,10 @@ def populations(field: ProbabilityField):
 
 def population_rate(field: ProbabilityField, params: ModelParams):
     """d(rho1)/dt as the quadrature of p * (omega/2 * sin(2 theta) - gamma sin^4)."""
-    th = field.grid.centers
-    integrand = 0.5 * params.omega * np.sin(2.0 * th) - params.gamma * np.sin(th) ** 4
-    return float(np.sum(field.values * integrand) * field.grid.cell_width)
+    g, v = field.grid, field.values
+    return float(
+        g.cell_width * (0.5 * params.omega * (v @ g.sin_2theta) - params.gamma * (v @ g.sin4))
+    )
 
 
 @dataclass
@@ -341,15 +363,19 @@ def solve(
     op = StepOperator(params, grid, dt)
     if snapshot_stride is None:
         snapshot_stride = max(1, n_steps // 100)
-    if snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    if not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
+        raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
     if theta0 is None:
         theta0 = params.theta0
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
+    if not -HALF_PI <= theta0 < HALF_PI:
+        # the model is pi-periodic in theta; a huge angle would overflow to
+        # inf in the hazard integral's cos(a + b)
+        theta0 = reduce_angle(theta0)
 
     dx = grid.cell_width
-    s2 = np.sin(grid.centers) ** 2
+    s2 = grid.sin2
     times = np.linspace(0.0, t_end, n_steps + 1)
     angle = theta0 + 0.5 * params.omega * times
     point = np.zeros(n_steps + 1)

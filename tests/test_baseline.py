@@ -103,7 +103,12 @@ class TestIntegrate:
 
     @pytest.mark.parametrize(
         "name, t_end, dt",
-        [("t_end", math.nan, 0.01), ("t_end", math.inf, 0.01), ("dt", 1.0, math.nan)],
+        [
+            ("t_end", math.nan, 0.01),
+            ("t_end", math.inf, 0.01),
+            ("dt", 1.0, math.nan),
+            pytest.param("t_end", 1e300, 0.01, id="too-many-steps"),
+        ],
     )
     def test_non_finite_input_names_parameter(self, name, t_end, dt):
         with pytest.raises(ValueError, match=name):

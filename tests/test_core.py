@@ -42,6 +42,14 @@ class TestParams:
         ModelParams(1.0, 1.0, -HALF_PI)  # left edge is included
 
 
+class TestTimeSteps:
+    def test_step_count_cap(self):
+        assert core.time_steps(core.MAX_STEPS * 0.5, 0.5) == (core.MAX_STEPS, 0.5)
+        for t_end, dt in [(core.MAX_STEPS * 0.5, 0.49), (1.0, 1e-200), (1e300, 1e-3)]:
+            with pytest.raises(ValueError, match="t_end/dt must be at most"):
+                core.time_steps(t_end, dt)
+
+
 class TestDrift:
     def test_identity_at_t0(self):
         p = ModelParams(2.7, 1.0)

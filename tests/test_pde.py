@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,22 @@ class TestGrid:
         with pytest.raises(ValueError):
             ThetaGrid(8)
 
+    @pytest.mark.parametrize("n", [64.5, 64.0, math.nan, math.inf, -math.inf, "64", 15, 0, -64])
+    def test_rejects_non_integer_or_small_sizes(self, n):
+        with pytest.raises(ValueError, match="n_cells"):
+            ThetaGrid(n)
+
+    def test_numpy_integer_size(self):
+        assert ThetaGrid(np.int64(64)).centers.size == 64
+
+    @pytest.mark.parametrize("n", [16, 64, 257, 1024])
+    def test_tables_match_sin(self, n):
+        g = ThetaGrid(n)
+        s = np.sin(g.centers)
+        assert np.max(np.abs(g.sin2 - s**2)) <= 1e-15
+        assert np.max(np.abs(g.sin4 - s**4)) <= 1e-15
+        assert np.max(np.abs(g.sin_2theta - np.sin(2.0 * g.centers))) <= 1e-15
+
     @pytest.mark.parametrize("n", [16, 64, 255, 256])
     def test_source_cell_contains_zero(self, n):
         g = ThetaGrid(n)
@@ -30,6 +47,21 @@ class TestGrid:
         g = ThetaGrid(64)
         assert g.cell_of(-math.pi / 2) == 0
         assert g.cell_of(math.pi / 2 - 1e-12) == 63
+
+
+class TestField:
+    @pytest.mark.parametrize("bad", [-1e-300, -math.inf, math.inf, math.nan])
+    def test_rejects_negative_and_non_finite(self, bad):
+        one = np.full(64, 1.0 / math.pi)
+        one[17] = bad
+        for values in (one, np.full(64, bad)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ProbabilityField(ThetaGrid(64), values)
+
+    def test_accepts_zeros_and_largest_finite(self):
+        values = np.zeros(64)
+        values[3] = np.finfo(float).max
+        assert ProbabilityField(ThetaGrid(64), values).values[3] == values[3]
 
 
 class TestInitDelta:
@@ -69,6 +101,24 @@ class TestStep:
         for _ in range(g.n_cells // 2):
             f = pde.step(f, p, dt)
         assert l1(f.values, np.roll(pde.init_delta(g, 0.3).values, 32), g) < 1e-6
+
+    def test_unit_courant_is_exact_shift(self):
+        # survival exp(-gamma sin^2 dt) rounds to 1, so the step is transport
+        # alone; on a state spanning 15 decades it must equal np.roll exactly
+        g = ThetaGrid(64)
+        p = ModelParams(2.0, 1e-300)
+        dt = g.cell_width / (0.5 * p.omega)
+        op = pde.StepOperator(p, g, dt)
+        assert op.courant == 1.0
+        assert np.all(op.survival == 1.0)
+        values = 10.0 ** np.random.default_rng(3).uniform(-15.0, 0.0, g.n_cells)
+        assert np.array_equal(op.apply(values), np.roll(values, 1))
+        batch = np.stack([values, values[::-1]])
+        assert np.array_equal(op.apply(batch), np.roll(batch, 1, axis=-1))
+        f = ProbabilityField(g, values)
+        for k in range(1, g.n_cells + 1):
+            f = pde.step(f, p, dt)
+            assert np.array_equal(f.values, np.roll(values, k))
 
     def test_mass_conserved_and_positive(self):
         g = ThetaGrid(64)
@@ -127,6 +177,13 @@ class TestPopulations:
         assert rho0 + rho1 == pytest.approx(1.0, abs=1e-12)
 
 
+def _oracle_rate(values, grid, p):
+    """Quadrature of p * (omega/2 sin(2 theta) - gamma sin^4 theta), with np.sum."""
+    th = grid.centers
+    integrand = 0.5 * p.omega * np.sin(2.0 * th) - p.gamma * np.sin(th) ** 4
+    return np.sum(values * integrand) * grid.cell_width
+
+
 class TestPopulationRate:
     def test_delta_at_zero_is_stationary(self):
         f = pde.init_delta(ThetaGrid(256), 0.0)
@@ -146,6 +203,19 @@ class TestPopulationRate:
         assert pde.population_rate(f, ModelParams(0.0, 2.0)) == pytest.approx(
             -2.0 * math.sin(theta0) ** 4, abs=1e-3
         )
+
+    @pytest.mark.parametrize("n", [16, 64, 257, 1024])
+    @pytest.mark.parametrize(
+        "omega, gamma", [(0.0, 1.0), (3.33, 1.0), (1.0 / 6.0, 1.0), (2.0, 1e-12), (50.0, 7.5)]
+    )
+    def test_matches_independent_quadrature(self, n, omega, gamma):
+        g = ThetaGrid(n)
+        p = ModelParams(omega, gamma)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            values = rng.exponential(size=n) * (rng.random(n) < 0.7)
+            got = pde.population_rate(ProbabilityField(g, values), p)
+            assert got == pytest.approx(_oracle_rate(values, g, p), rel=1e-13, abs=0.0)
 
 
 class TestSolve:
@@ -209,6 +279,8 @@ class TestSolve:
             ),
             pytest.param("theta0", 1.0, 0.01, math.nan, id="theta0-nan"),
             pytest.param("theta0", 1.0, 0.01, math.inf, id="theta0-inf"),
+            pytest.param("t_end", 1e300, 1e-3, None, id="too-many-steps-t_end"),
+            pytest.param("dt", 1.0, 1e-200, None, id="too-many-steps-dt"),
         ],
     )
     def test_non_finite_input_names_parameter(self, name, t_end, dt, theta0):
@@ -217,6 +289,55 @@ class TestSolve:
         if theta0 is not None:
             with pytest.raises(ValueError, match="theta0"):
                 pde.init_delta(ThetaGrid(64), theta0)
+
+    def test_theta0_outside_the_cell_is_reduced(self):
+        p, g = ModelParams(3.33, 1.0), ThetaGrid(64)
+        ref = pde.solve(p, g, 2.0, 0.01, 0.3)
+        r = pde.solve(p, g, 2.0, 0.01, 0.3 + 3.0 * math.pi)
+        assert np.max(np.abs(r.rho1 - ref.rho1)) < 1e-12
+        assert np.max(np.abs(r.final.values - ref.final.values)) * g.cell_width < 1e-12
+
+    @pytest.mark.parametrize("stride", [2.5, 2.0, math.nan, math.inf, "3", 0, -1])
+    def test_rejects_bad_snapshot_stride(self, stride):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            pde.solve(ModelParams(1.0, 1.0), ThetaGrid(64), 1.0, 0.01, snapshot_stride=stride)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_cells=st.one_of(
+            st.integers(16, 300), st.sampled_from([15, 0, -4, 64.5, math.nan, math.inf])
+        ),
+        omega=st.floats(0.0, 10.0),
+        gamma=st.floats(0.1, 5.0),
+        # an integer t_end counts steps of dt, which keeps valid solves small
+        t_end=st.one_of(
+            st.integers(1, 1500),
+            st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e300]),
+        ),
+        # dt in units of the largest stable step
+        dt=st.one_of(
+            st.floats(0.05, 1.5), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.1])
+        ),
+        theta0=st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+        stride=st.one_of(
+            st.none(), st.integers(-3, 50), st.floats(allow_nan=True, allow_infinity=True)
+        ),
+    )
+    @example(n_cells=16, omega=0.0, gamma=1.0, t_end=1, dt=1.0, theta0=8.98846567431158e307, stride=None)
+    def test_finite_output_or_named_error(self, n_cells, omega, gamma, t_end, dt, theta0, stride):
+        p = ModelParams(omega, gamma)
+        try:
+            g = ThetaGrid(n_cells)
+            dt *= pde.max_stable_dt(p, g)
+            if isinstance(t_end, int):
+                t_end *= dt
+            r = pde.solve(p, g, t_end, dt, theta0, snapshot_stride=stride)
+        except ValueError as e:
+            assert re.search(r"t_end|dt|theta0|snapshot_stride|n_cells", str(e)), str(e)
+            return
+        assert np.isfinite(r.rho0).all() and np.isfinite(r.rho1).all()
+        assert np.isfinite(r.final.values).all()
+        assert all(np.isfinite(s.values).all() for s in r.snapshots)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_step_rejects_non_finite_dt(self, dt):
