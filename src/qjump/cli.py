@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: delay | pde | mc | baseline | sweep | fig1 | duality.  Each
-runner returns (columns, scalars), or one pair per panel for fig1, and one
-writer emits them: CSV as a table with the scalars in the '# key=value'
-header, JSON as lists followed by the scalars.  Every output file embeds the
-full configuration (and seed) in its header; pass --no-timestamp for
-byte-identical reruns.
+runner reads the parsed flags and returns (columns, scalars), or one pair per
+panel for fig1, and one writer emits them: CSV as a table with the scalars in
+the '# key=value' header, JSON as lists followed by the scalars.  The parser
+is the only place a flag or its default lives.  Every output file records
+exactly its subcommand's flags (and the command) in its header, so the header
+rebuilds the run; a flag left at None (an omitted --horizon, --dt or gamma
+bound) means "choose automatically".  Pass --no-timestamp for byte-identical
+reruns.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,45 +23,6 @@ from . import baseline, core, io, mc, pde, stats
 
 FIG1_RATIOS = {"a": 3.33, "b": 1.0 / 6.0}
 FIG1_SPANS = {"a": 30.0, "b": 600.0}
-
-
-@dataclass
-class RunConfig:
-    command: str
-    omega: float = 1.0
-    gamma: float = 1.0
-    theta0: float = 0.0
-    n: int = 1000
-    grid_n: int = pde.DEFAULT_N_CELLS
-    horizon: float = 10.0
-    dt: float | None = None
-    seed: int = 0
-    semantics: str = "literal"
-    out_path: str = "out.csv"
-    format: str = "csv"
-    timestamp: bool = True
-    panel: str = "both"
-    gamma_min: float | None = None
-    gamma_max: float | None = None
-    sweep_points: int = 9
-    sizes: tuple = ()
-
-    def params(self) -> core.ModelParams:
-        return core.ModelParams(self.omega, self.gamma, self.theta0)
-
-    def jump_semantics(self) -> core.JumpSemantics:
-        return (
-            core.JumpSemantics.KOLMOGOROV_LITERAL
-            if self.semantics == "literal"
-            else core.JumpSemantics.EMISSION_ONLY
-        )
-
-    def header(self) -> dict:
-        keys = (
-            "command omega gamma theta0 n grid_n horizon dt seed "
-            "semantics format".split()
-        )
-        return {k: getattr(self, k) for k in keys}
 
 
 # model flags, each given only to the subcommands whose runner reads it
@@ -132,51 +95,49 @@ def _build_parser():
     sp.add_argument("--horizon", type=float, help="time at which the laws are compared")
     sp.add_argument("--sizes", type=int, nargs="+", help="ensemble sizes")
     sp.set_defaults(
-        omega=3.33, gamma=1.0, seed=99, grid_n=128, horizon=5.0,
-        sizes=[1_000, 10_000, 100_000],
+        omega=3.33, seed=99, grid_n=128, horizon=5.0, sizes=[1_000, 10_000, 100_000]
     )
     return p
 
 
-def parse_config(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for key, val in vars(ns).items():
-        if hasattr(cfg, key) and val is not None:
-            setattr(cfg, key, val)
-    if getattr(ns, "horizon", "absent") is None:
-        cfg.horizon = -1.0  # sentinel: pick the span from the model's tail
-    return cfg
+def parse_config(argv) -> argparse.Namespace:
+    """The parsed flags: the only record of a run's configuration."""
+    return _build_parser().parse_args(argv)
 
 
-def _delay_grid(cfg: RunConfig, params: core.ModelParams):
-    span = cfg.horizon
-    if span <= 0:
-        span = core.waiting_time_tail_cutoff(params, mass_tol=1e-9)
-    return np.linspace(0.0, span, cfg.n)
+def _params(ns) -> core.ModelParams:
+    """The run's model; subcommands without --theta0 start at theta = 0."""
+    return core.ModelParams(ns.omega, ns.gamma, getattr(ns, "theta0", 0.0))
 
 
-def _run_delay(cfg: RunConfig):
-    params = cfg.params()
-    tau = _delay_grid(cfg, params)
+def _tau_grid(ns, default_span):
+    """--n points on [0, --horizon], or on [0, default_span()] without it."""
+    if ns.n < 2:
+        raise ValueError(f"--n must be >= 2 tau-grid points, got {ns.n}")
+    span = getattr(ns, "horizon", None)
+    return np.linspace(0.0, default_span() if span is None else span, ns.n)
+
+
+def _run_delay(ns):
+    params = _params(ns)
+    tau = _tau_grid(ns, lambda: core.waiting_time_tail_cutoff(params, mass_tol=1e-9))
     return {"tau": tau, "density": core.waiting_time_density(tau, params)}, {}
 
 
-def _run_pde(cfg: RunConfig):
-    params = cfg.params()
-    grid = pde.ThetaGrid(cfg.grid_n)
-    dt = cfg.dt if cfg.dt is not None else pde.max_stable_dt(params, grid)
-    result = pde.solve(params, grid, cfg.horizon, dt)
+def _run_pde(ns):
+    params = _params(ns)
+    grid = pde.ThetaGrid(ns.grid_n)
+    dt = ns.dt if ns.dt is not None else pde.max_stable_dt(params, grid)
+    result = pde.solve(params, grid, ns.horizon, dt)
     return {"t": result.times, "rho0": result.rho0, "rho1": result.rho1}, {}
 
 
-def _run_mc(cfg: RunConfig):
+def _run_mc(ns):
     """CSV gets the emission table, JSON the ensemble summary."""
-    params = cfg.params()
     emissions = mc.ensemble_records(
-        params, cfg.jump_semantics(), cfg.horizon, cfg.seed, cfg.n
+        _params(ns), core.JumpSemantics(ns.semantics), ns.horizon, ns.seed, ns.n
     )
-    if cfg.format == "csv":
+    if ns.format == "csv":
         ids = np.arange(len(emissions), dtype=float)
         return {
             "trajectory_id": np.repeat(ids, np.diff(emissions.offsets)),
@@ -184,8 +145,8 @@ def _run_mc(cfg: RunConfig):
         }, {}
     gaps = mc.interarrival_samples(emissions)
     return {}, {
-        "n_trajectories": cfg.n,
-        "semantics": cfg.semantics,
+        "n_trajectories": ns.n,
+        "semantics": ns.semantics,
         "ever_emitted_fraction": mc.ever_emitted_fraction(emissions),
         "total_emissions": emissions.times.size,
         "interarrival_mean": float(np.mean(gaps)) if gaps.size else None,
@@ -193,29 +154,28 @@ def _run_mc(cfg: RunConfig):
     }
 
 
-def _run_baseline(cfg: RunConfig):
-    params = cfg.params()
-    span = cfg.horizon
-    if span <= 0:
-        span = FIG1_SPANS["a" if params.omega >= params.gamma else "b"] / params.gamma
-    dist = baseline.delay_function(params, np.linspace(0.0, span, cfg.n))
+def _run_baseline(ns):
+    params = _params(ns)
+    panel = "a" if params.omega >= params.gamma else "b"
+    tau = _tau_grid(ns, lambda: FIG1_SPANS[panel] / params.gamma)
+    dist = baseline.delay_function(params, tau)
     return {"tau": dist.tau_grid, "ell_q": dist.density}, {}
 
 
-def _run_sweep(cfg: RunConfig):
-    omega = cfg.omega
+def _run_sweep(ns):
+    omega = ns.omega
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"sweep requires finite omega > 0, got {omega}")
-    lo = cfg.gamma_min if cfg.gamma_min is not None else 4.0 * omega
-    hi = cfg.gamma_max if cfg.gamma_max is not None else 64.0 * omega
+    lo = ns.gamma_min if ns.gamma_min is not None else 4.0 * omega
+    hi = ns.gamma_max if ns.gamma_max is not None else 64.0 * omega
     for flag, value in (("--gamma-min", lo), ("--gamma-max", hi)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and > 0, got {value}")
     if lo == hi:
         raise ValueError(f"--gamma-min and --gamma-max must differ, both are {lo}")
-    if cfg.sweep_points < 3:
-        raise ValueError(f"--sweep-points must be >= 3, got {cfg.sweep_points}")
-    gammas = np.geomspace(lo, hi, cfg.sweep_points)
+    if ns.sweep_points < 3:
+        raise ValueError(f"--sweep-points must be >= 3, got {ns.sweep_points}")
+    gammas = np.geomspace(lo, hi, ns.sweep_points)
     means = np.array(
         [core.mean_waiting_time(core.ModelParams(omega, g)) for g in gammas]
     )
@@ -232,13 +192,13 @@ def _run_sweep(cfg: RunConfig):
     )
 
 
-def _fig1_panel(panel: str, gamma: float, n_points: int):
-    params = core.ModelParams(FIG1_RATIOS[panel] * gamma, gamma)
-    tau = np.linspace(0.0, FIG1_SPANS[panel] / gamma, n_points)
+def _fig1_panel(panel: str, ns):
+    params = core.ModelParams(FIG1_RATIOS[panel] * ns.gamma, ns.gamma)
+    tau = _tau_grid(ns, lambda: FIG1_SPANS[panel] / ns.gamma)
     try:
         ell_k = stats.DelayDistribution(tau, core.waiting_time_density(tau, params))
     except ValueError as exc:  # trapezoid mass > 1 on an under-resolved grid
-        raise ValueError(f"n={n_points} under-resolves panel {panel}: {exc}") from None
+        raise ValueError(f"n={ns.n} under-resolves panel {panel}: {exc}") from None
     ell_q = baseline.delay_function(params, tau)
     return (
         {"tau": tau, "ell_kolmogorov": ell_k.density, "ell_baseline": ell_q.density},
@@ -253,51 +213,55 @@ def _fig1_panel(panel: str, gamma: float, n_points: int):
     )
 
 
-def _run_fig1(cfg: RunConfig):
-    panels = ["a", "b"] if cfg.panel == "both" else [cfg.panel]
-    return [_fig1_panel(panel, cfg.gamma, cfg.n) for panel in panels]
+def _run_fig1(ns):
+    panels = ["a", "b"] if ns.panel == "both" else [ns.panel]
+    return [_fig1_panel(panel, ns) for panel in panels]
 
 
-def _run_duality(cfg: RunConfig):
+def _run_duality(ns):
     """L1 distance between the MC angle histogram and the PDE density at t."""
-    params = cfg.params()
+    params = _params(ns)
     if params.omega == 0:
         raise ValueError("duality needs omega > 0: the drift sets the time step")
-    if cfg.horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {cfg.horizon}")
-    if len(set(cfg.sizes)) < 2:
+    if min(ns.sizes) < 1:
+        raise ValueError(f"sizes must be >= 1, got {ns.sizes}")
+    if len(set(ns.sizes)) < 2:
         raise ValueError("sizes must hold at least two distinct ensemble sizes")
-    grid = pde.ThetaGrid(cfg.grid_n)
+    grid = pde.ThetaGrid(ns.grid_n)
     # Courant number as close to 1 as the horizon allows: transport is then
     # an exact shift, and the PDE error is source/sink error alone
-    n_steps = int(np.ceil(cfg.horizon / (grid.cell_width / (0.5 * params.omega))))
+    n_steps = int(np.ceil(ns.horizon / (grid.cell_width / (0.5 * params.omega))))
     reference = pde.solve(
-        params, grid, cfg.horizon, cfg.horizon / n_steps, snapshot_stride=n_steps
+        params, grid, ns.horizon, ns.horizon / n_steps, snapshot_stride=n_steps
     ).final.values
     l1 = []
-    for n in cfg.sizes:
+    for n in ns.sizes:
         angles = mc.ensemble_theta_at(
-            params, cfg.jump_semantics(), cfg.horizon, cfg.seed, n
+            params, core.JumpSemantics.KOLMOGOROV_LITERAL, ns.horizon, ns.seed, n
         )
         hist = mc.histogram_from_angles(angles, grid)
         l1.append(float(np.sum(np.abs(hist.values - reference)) * grid.cell_width))
-    slope = float(np.polyfit(np.log(cfg.sizes), np.log(l1), 1)[0])
-    columns = {"ensemble_size": np.asarray(cfg.sizes, float), "l1_distance": l1}
+    slope = float(np.polyfit(np.log(ns.sizes), np.log(l1), 1)[0])
+    columns = {"ensemble_size": np.asarray(ns.sizes, float), "l1_distance": l1}
     return columns, {"slope": slope}
 
 
-def _write(cfg: RunConfig, outputs):
-    """Write each (columns, scalars) output; several get one file per panel."""
+def _write(ns, outputs):
+    """Write each (columns, scalars) output; several get one file per panel.
+
+    The header is the parsed flags without --out and --no-timestamp.
+    """
     if not isinstance(outputs, list):
         outputs = [outputs]
-    writer = io.write_csv if cfg.format == "csv" else io.write_json
+    header = {k: v for k, v in vars(ns).items() if k not in ("out_path", "timestamp")}
+    writer = io.write_csv if ns.format == "csv" else io.write_json
     for columns, scalars in outputs:
-        path = cfg.out_path
+        path = ns.out_path
         if len(outputs) > 1:
             stem, dot, ext = path.rpartition(".")
             tag = scalars["panel"]
             path = f"{stem}_{tag}{dot}{ext}" if dot else f"{path}_{tag}"
-        writer(path, columns, scalars, cfg.header(), cfg.timestamp)
+        writer(path, columns, scalars, header, ns.timestamp)
 
 
 _RUNNERS = {
@@ -311,20 +275,20 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     try:
-        if not math.isfinite(config.horizon):
-            raise ValueError(f"horizon must be finite, got {config.horizon}")
-        _write(config, _RUNNERS[config.command](config))
+        horizon = getattr(ns, "horizon", None)  # None: the auto span
+        if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+            raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+        _write(ns, _RUNNERS[ns.command](ns))
     except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"qjump {config.command}: {exc}", file=sys.stderr)
+        print(f"qjump {ns.command}: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
 def main(argv=None) -> int:
-    config = parse_config(argv if argv is not None else sys.argv[1:])
-    return run(config)
+    return run(parse_config(argv if argv is not None else sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -46,7 +46,8 @@ MAX_BLOCK = 1024
 MAX_BLOCK_CELLS = 1024
 
 
-@dataclass
+# eq=False: field-wise == over ndarrays is ambiguous, so == is identity
+@dataclass(eq=False)
 class ThetaGrid:
     """Uniform periodic grid of n_cells cells covering [-pi/2, pi/2).
 
@@ -82,7 +83,8 @@ class ThetaGrid:
         return int((theta + HALF_PI) // self.cell_width) % self.n_cells
 
 
-@dataclass
+# eq=False: field-wise == over ndarrays is ambiguous, so == is identity
+@dataclass(eq=False)
 class ProbabilityField:
     """Discretized density p(theta) on a ThetaGrid at a given time."""
 

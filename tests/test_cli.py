@@ -1,9 +1,16 @@
+import argparse
 import json
+import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qjump import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_lines(path):
@@ -239,6 +246,14 @@ def test_unused_model_flags_rejected(tmp_path, argv):
         (["sweep", "--gamma-max", "inf"], "gamma-max"),
         (["sweep", "--sweep-points", "2"], "sweep-points"),
         (["sweep", "--omega", "inf"], "omega"),
+        (["delay", "--horizon", "-3"], "horizon"),
+        (["baseline", "--horizon", "0"], "horizon"),
+        (["pde", "--horizon", "0"], "horizon"),
+        (["delay", "--n", "0"], "--n"),
+        (["delay", "--n", "-1"], "--n"),
+        (["baseline", "--n", "0"], "--n"),
+        (["fig1", "--n", "0"], "--n"),
+        (["duality", "--sizes", "0", "80"], "sizes"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -260,9 +275,9 @@ SMALL_RUNS = {
 }
 
 
-def run_into(directory, command, fmt):
+def run_into(directory, argv, fmt):
     directory.mkdir()
-    argv = [command, *SMALL_RUNS[command], "--format", fmt, "--no-timestamp",
+    argv = [*argv, "--format", fmt, "--no-timestamp",
             "--out", str(directory / f"out.{fmt}")]
     assert cli.main(argv) == 0
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
@@ -271,7 +286,8 @@ def run_into(directory, command, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", list(SMALL_RUNS))
 def test_every_subcommand_writes_its_format(tmp_path, command, fmt):
-    first = run_into(tmp_path / "first", command, fmt)
+    argv = [command, *SMALL_RUNS[command]]
+    first = run_into(tmp_path / "first", argv, fmt)
     assert first
     for name in first:
         path = tmp_path / "first" / name
@@ -281,4 +297,111 @@ def test_every_subcommand_writes_its_format(tmp_path, command, fmt):
             names, rows = data_rows(path)
             assert all(not n[:1].isdigit() for n in names)
             assert rows.shape[0] > 0 and rows.shape[1] == len(names)
-    assert run_into(tmp_path / "second", command, fmt) == first
+    assert run_into(tmp_path / "second", argv, fmt) == first
+
+
+# exactly the subcommand's flags, less --out and --no-timestamp, plus command
+HEADER_KEYS = {
+    "delay": {"command", "format", "gamma", "horizon", "n", "omega"},
+    "pde": {"command", "dt", "format", "gamma", "grid_n", "horizon", "omega", "theta0"},
+    "mc": {"command", "format", "gamma", "horizon", "n", "omega", "seed",
+           "semantics", "theta0"},
+    "baseline": {"command", "format", "gamma", "horizon", "n", "omega"},
+    "sweep": {"command", "format", "gamma_max", "gamma_min", "omega", "sweep_points"},
+    "fig1": {"command", "format", "gamma", "n", "panel"},
+    "duality": {"command", "format", "gamma", "grid_n", "horizon", "omega", "seed",
+                "sizes"},
+}
+# scalars a CSV writes into its header beside the flags
+CSV_SCALARS = {
+    "sweep": {"fit_exponent", "fit_r_squared"},
+    "fig1": {"panel", "omega_over_gamma", "axis_note", "mean_kolmogorov",
+             "mean_baseline", "l1_distance"},
+    "duality": {"slope"},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_header_holds_exactly_the_flags(tmp_path, command, fmt):
+    files = run_into(tmp_path / "out", [command, *SMALL_RUNS[command]], fmt)
+    for text in files.values():
+        if fmt == "json":
+            assert set(json.loads(text)["config"]) == HEADER_KEYS[command]
+        else:
+            keys = {
+                line[2:].split("=", 1)[0]
+                for line in text.decode().splitlines() if line.startswith("# ")
+            }
+            assert keys == HEADER_KEYS[command] | CSV_SCALARS.get(command, set())
+
+
+def argv_from_config(config):
+    """Flags that rerun a JSON output's config; None (auto) is left out."""
+    argv = [config["command"]]
+    for key, value in config.items():
+        if key != "command" and value is not None:
+            values = value if isinstance(value, list) else [value]
+            argv += [f"--{key.replace('_', '-')}", *map(str, values)]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_json_config_regenerates_output(tmp_path, command):
+    first = run_into(tmp_path / "first", [command, *SMALL_RUNS[command]], "json")
+    config = json.loads(next(iter(first.values())))["config"]
+    assert run_into(tmp_path / "again", argv_from_config(config), "json") == first
+
+
+def numeric_flags():
+    """(command, flag, value): float flags get nan, +-inf, 0 and -1; ints 0, -1."""
+    parser = cli._build_parser()
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    values = {float: ["nan", "inf", "-inf", "0", "-1"], int: ["0", "-1"]}
+    for command, sub in subcommands.choices.items():
+        for action in sub._actions:
+            for value in values.get(action.type, []):
+                yield command, action.option_strings[0], value
+
+
+def json_numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for child in node for x in json_numbers(child)]
+    return [node] if isinstance(node, (int, float)) else []
+
+
+@pytest.mark.parametrize("command, flag, value", list(numeric_flags()))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numeric_flag_sweep(tmp_path, capsys, command, flag, value):
+    """Finite output, or exit 2 naming the flag (ThetaGrid calls --grid-n n_cells)."""
+    out = tmp_path / "x.json"
+    rc = cli.main([command, *SMALL_RUNS[command], f"{flag}={value}",
+                   "--format", "json", "--no-timestamp", "--out", str(out)])
+    if rc == 0:
+        assert all(math.isfinite(x) for x in json_numbers(json.loads(out.read_text())))
+    else:
+        assert rc == 2
+        names = [flag[2:]] + (["n_cells"] if flag == "--grid-n" else [])
+        err = capsys.readouterr().err
+        assert any(re.search(rf"\b{name}\b", err) for name in names), err
+        assert not out.exists()
+
+
+def readme_commands():
+    """The commands of README's "Command line" sh block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[1])
+def test_readme_command_runs(tmp_path, argv):
+    assert argv[0] == "qjump"
+    argv = argv[1:]
+    out = argv.index("--out") + 1
+    argv[out] = str(tmp_path / argv[out])
+    assert cli.main([*argv, "--no-timestamp"]) == 0

@@ -48,6 +48,11 @@ class TestGrid:
         assert g.cell_of(-math.pi / 2) == 0
         assert g.cell_of(math.pi / 2 - 1e-12) == 63
 
+    def test_equality_is_identity(self):
+        g = ThetaGrid(64)
+        assert (g == ThetaGrid(64)) is False
+        assert (g == g) is True
+
 
 class TestField:
     @pytest.mark.parametrize("bad", [-1e-300, -math.inf, math.inf, math.nan])
@@ -62,6 +67,11 @@ class TestField:
         values = np.zeros(64)
         values[3] = np.finfo(float).max
         assert ProbabilityField(ThetaGrid(64), values).values[3] == values[3]
+
+    def test_equality_is_identity(self):
+        f = pde.init_delta(ThetaGrid(64), 0.3)
+        assert (f == f.copy()) is False
+        assert (f == f) is True
 
 
 class TestInitDelta:
