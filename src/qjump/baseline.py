@@ -180,8 +180,12 @@ def delay_function(params: ModelParams, tau_grid) -> DelayDistribution:
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size < 2:
         raise ValueError("tau_grid must contain at least two points")
-    if tau_grid[0] != 0.0 or np.any(np.diff(tau_grid) <= 0):
-        raise ValueError("tau_grid must be increasing and start at 0")
+    # the step generator times the span must stay finite for _expm2
+    span_rate = float(tau_grid[-1]) * (params.omega + params.gamma)
+    if not (tau_grid[0] == 0.0 and np.all(np.diff(tau_grid) > 0)
+            and math.isfinite(span_rate)):
+        raise ValueError("tau_grid must start at 0 and increase, with "
+                         "tau_grid[-1] * (omega + gamma) finite")
 
     half_rabi = 0.5j * params.omega
     generator = np.array([[0.0, -half_rabi], [-half_rabi, -0.5 * params.gamma]])
@@ -199,4 +203,7 @@ def delay_function(params: ModelParams, tau_grid) -> DelayDistribution:
     bad = ~np.isfinite(density)
     if bad.any():
         raise ArithmeticError(f"propagator failure at tau={tau_grid[bad.argmax()]}")
-    return DelayDistribution(tau_grid, density, kind="baseline")
+    try:
+        return DelayDistribution(tau_grid, density, kind="baseline")
+    except ValueError as exc:  # trapezoid mass > 1 on an under-resolved grid
+        raise ValueError(f"tau_grid under-resolves the delay function: {exc}") from None

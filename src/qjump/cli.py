@@ -146,7 +146,6 @@ def _run_mc(ns):
     gaps = mc.interarrival_samples(emissions)
     return {}, {
         "n_trajectories": ns.n,
-        "semantics": ns.semantics,
         "ever_emitted_fraction": mc.ever_emitted_fraction(emissions),
         "total_emissions": emissions.times.size,
         "interarrival_mean": float(np.mean(gaps)) if gaps.size else None,
@@ -203,7 +202,7 @@ def _fig1_panel(panel: str, ns):
     return (
         {"tau": tau, "ell_kolmogorov": ell_k.density, "ell_baseline": ell_q.density},
         {
-            "panel": panel,
+            "this_panel": panel,
             "omega_over_gamma": FIG1_RATIOS[panel],
             "axis_note": "dimensionless axis is omega*tau",
             "mean_kolmogorov": core.mean_waiting_time(params),
@@ -259,7 +258,7 @@ def _write(ns, outputs):
         path = ns.out_path
         if len(outputs) > 1:
             stem, dot, ext = path.rpartition(".")
-            tag = scalars["panel"]
+            tag = scalars["this_panel"]
             path = f"{stem}_{tag}{dot}{ext}" if dot else f"{path}_{tag}"
         writer(path, columns, scalars, header, ns.timestamp)
 

@@ -23,6 +23,9 @@ _PANELS_PER_BLOCK = 2048
 # most steps time_steps allows: pde.solve keeps about 55 bytes per step,
 # 0.55 GB at this count
 MAX_STEPS = 10**7
+# least omega/gamma of the waiting-time moments: below it the closed form of
+# gamma*I(tau) cancels down to an error above 1e-6 over the waiting-time span
+MIN_MOMENT_RATIO = 1e-12
 
 
 class JumpSemantics(enum.Enum):
@@ -75,9 +78,13 @@ def time_steps(t_end, dt):
 
 def drift_angle(t, params: ModelParams, theta_start):
     """Angle after drifting for time t >= 0 from theta_start (no jumps)."""
-    if np.any(np.asarray(t) < 0):
+    if not np.all(np.asarray(t) >= 0):
         raise ValueError("t must be >= 0")
-    return reduce_angle(theta_start + 0.5 * params.omega * t)
+    with np.errstate(all="ignore"):
+        theta = theta_start + 0.5 * params.omega * np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("t and theta_start must keep theta_start + omega*t/2 finite")
+    return reduce_angle(theta)
 
 
 def jump_hazard(theta, gamma):
@@ -104,6 +111,19 @@ def intensity_integral(tau, omega):
     )
 
 
+def _waiting_tau(tau, params: ModelParams):
+    """tau >= 0 as an array, capped where exp(-gamma*I(tau)) is exactly 0.
+
+    By the secular bound gamma*I >= 3*gamma*tau/8 - gamma/omega, gamma*I
+    exceeds 800 past the cap and exp(-800) underflows to 0: the laws take
+    the same values there, and their limits 0 and 1 at tau = inf.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(tau >= 0):
+        raise ValueError("tau must be >= 0 (and not NaN)")
+    return np.minimum(tau, (8.0 / 3.0) * (800.0 / params.gamma + 1.0 / params.omega))
+
+
 def waiting_time_density(tau, params: ModelParams):
     """Inter-emission density gamma*sin^4(omega tau/2)*exp(-gamma*I(tau))."""
     if params.omega == 0:
@@ -111,9 +131,7 @@ def waiting_time_density(tau, params: ModelParams):
             "waiting_time_density requires omega > 0; "
             "use the no_pump_* functions for an unpumped atom"
         )
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be >= 0")
+    tau = _waiting_tau(tau, params)
     lam = emission_intensity(0.5 * params.omega * tau, params.gamma)
     return lam * np.exp(-params.gamma * intensity_integral(tau, params.omega))
 
@@ -122,7 +140,7 @@ def waiting_time_cdf(tau, params: ModelParams):
     """P(interval <= tau) = 1 - exp(-gamma*I(tau))."""
     if params.omega == 0:
         raise ValueError("waiting_time_cdf requires omega > 0")
-    tau = np.asarray(tau, dtype=float)
+    tau = _waiting_tau(tau, params)
     return 1.0 - np.exp(-params.gamma * intensity_integral(tau, params.omega))
 
 
@@ -148,6 +166,11 @@ def _tail_panels(params: ModelParams):
     bounded however many periods T spans.
     """
     T = waiting_time_tail_cutoff(params)
+    if params.omega < MIN_MOMENT_RATIO * params.gamma:
+        raise ValueError(
+            f"omega/gamma must be >= {MIN_MOMENT_RATIO:g} for the waiting-time "
+            f"moments, got omega={params.omega}, gamma={params.gamma}"
+        )
     tau_k = weak_field_delay_scale(params)
     width = min(2.0 * math.pi / params.omega, 2.0 * tau_k, T)
     n_panels = math.ceil(T / width)
@@ -199,7 +222,10 @@ def weak_field_delay_scale(params: ModelParams):
     """Weak-field mean-delay scale (omega^4 * gamma)^(-1/5)."""
     if params.omega <= 0:
         raise ValueError("weak_field_delay_scale requires omega > 0")
-    return (params.omega**4 * params.gamma) ** (-0.2)
+    scale = params.omega**4 * params.gamma
+    if scale == 0.0:  # omega**4 underflows: the same power, factored
+        return params.omega ** (-0.8) * params.gamma ** (-0.2)
+    return scale ** (-0.2)
 
 
 def dressed_delay_scale(params: ModelParams):

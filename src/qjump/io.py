@@ -6,7 +6,8 @@ full run configuration, so any output can be regenerated from itself.
 
 Both writers take the same output: equal-length named columns plus named
 scalars.  CSV puts the scalars in the header next to the configuration; JSON
-writes the configuration, then the columns as lists, then the scalars.
+writes the configuration, then the columns as lists, then the scalars.  A
+scalar may not share a name with a configuration key, which it would hide.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def config_header_lines(config: dict, timestamp: bool = True) -> list[str]:
     return lines
 
 
+def _check_names(config: dict, scalars: dict):
+    clash = sorted(set(config) & set(scalars))
+    if clash:
+        raise ValueError(f"scalar names {clash} collide with configuration keys")
+
+
 def write_csv(
     path, columns: dict, scalars: dict, config: dict, timestamp: bool = True
 ):
@@ -34,6 +41,7 @@ def write_csv(
     arrays = [np.asarray(columns[k]) for k in names]
     if len({a.shape for a in arrays}) != 1:
         raise ValueError("all columns must have the same length")
+    _check_names(config, scalars)
     with open(path, "w", newline="\n") as fh:
         for line in config_header_lines({**config, **scalars}, timestamp):
             fh.write(line + "\n")
@@ -46,6 +54,7 @@ def write_json(
     path, columns: dict, scalars: dict, config: dict, timestamp: bool = True
 ):
     """Write the config, then the columns as lists, then the scalars."""
+    _check_names(config, scalars)
     doc = {"config": {k: config[k] for k in sorted(config)}}
     if timestamp:
         doc["generated"] = datetime.now(timezone.utc).isoformat()

@@ -3,17 +3,19 @@
 Candidate events are proposed at the constant majorant rate gamma (both
 hazards are bounded by gamma) and accepted with probability hazard/gamma
 evaluated at the drifted angle, so event times carry no discretization bias.
-One kernel advances many trajectories at once: each round draws one array
-per variate, sized to the trajectories still active, and applies masks.
+One kernel advances many lanes at once: each round draws one array per
+variate, sized to the lanes still active, and applies masks.
 
-Streams are keyed by (seed, block): trajectories 0..BLOCK-1 of an ensemble
-share SeededSource(seed, 0), the next BLOCK share SeededSource(seed, 1), and
-so on.  An ensemble of n is not a prefix of a larger one, and
-simulate(SeededSource(seed, i)) is not its trajectory i.
+Renewal lanes: every jump resets theta to 0, so a trajectory's jump cycles
+are i.i.d.  A block of n trajectories with horizon H runs each as
+max(1, min(ceil(BLOCK/n), floor(gamma*H/LANE_SPAN))) lanes, one if omega = 0.
+Lane 1 starts at theta0, the others at 0; each stops at its first jump past
+H/lanes, or once the rest of it would lie past H.  Put end to end in order
+and cut at H, the lanes have the law of one run to H.
 
-Emission times come back as one columnar table (`Emissions`), the list
-layout of the Arrow columnar format: one flat array of times and one offset
-per trajectory boundary.
+All lanes of a block draw from its stream SeededSource(seed, block), with
+BLOCK trajectories per block.  An ensemble of n is not a prefix of a larger
+one, and simulate(SeededSource(seed, i)) is not its trajectory i.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import JumpSemantics, ModelParams, reduce_angle
 from .pde import ProbabilityField, ThetaGrid
 
 BLOCK = 4096  # trajectories per RNG stream
+LANE_SPAN = 256  # gamma * time that every renewal lane spans at least
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,16 @@ class EmissionTimes(NamedTuple):
 class Emissions:
     """Photon-emission times of many trajectories, censored at t_end.
 
-    The i-th trajectory owns times[offsets[i]:offsets[i+1]]: the times increase
+    A columnar table, in the list layout of the Arrow format: the i-th
+    trajectory owns times[offsets[i]:offsets[i+1]].  The times increase
     within a trajectory and may drop across a boundary.  len() is the number
     of trajectories; indexing and iteration give `EmissionTimes` views.
     """
 
     def __init__(self, times, offsets, t_end):
-        self.times = np.asarray(times, dtype=float)
-        self.offsets = np.asarray(offsets, dtype=np.intp)
+        t = self.times = np.asarray(times, dtype=float)
+        off = self.offsets = np.asarray(offsets, dtype=np.intp)
         self.t_end = t_end
-        t, off = self.times, self.offsets
         if not (t.ndim == off.ndim == 1 and off.size and off[0] == 0
                 and off[-1] == t.size and np.all(np.diff(off) >= 0)):
             raise ValueError("offsets must rise from 0 to the number of times")
@@ -99,99 +102,113 @@ def _check_horizon(horizon, name="horizon"):
         raise ValueError(f"{name} must be finite and > 0, got {horizon}")
 
 
-def _kernel(params, semantics, horizon, rng, n, jumps=None):
-    """Thinning on n trajectories at once.
+def _lane_starts(buf, counts, ids, t, stop, horizon, lanes):
+    """Least start of each lane on its trajectory's clock: the spans before it.
 
-    Returns (times, counts, theta): the emission times of all trajectories
-    in order, how many belong to each, and each angle at `horizon`.  When
-    `jumps` is a list it receives (t, theta_before, emitted) for n = 1.
-    """
+    A finished lane spans its last jump if that passed `stop`, else the horizon;
+    an active lane at time t spans max(t, stop) or more."""
+    span, ran = np.full(counts.size, horizon), counts > 0
+    last = np.abs(buf[ran, counts[ran] - 1])
+    span[ran] = np.where(last >= stop, last, horizon)
+    span[ids] = np.maximum(t, stop)
+    start = np.zeros((counts.size // lanes, lanes))
+    np.cumsum(span.reshape(-1, lanes)[:, :-1], axis=1, out=start[:, 1:])
+    return start.ravel()
+
+
+def _kernel(params, semantics, horizon, rng, n, all_jumps=False):
+    """Thinning on n trajectories at once, each run as renewal lanes.
+
+    Returns (times, counts, theta): all trajectories' emission times in order
+    (with all_jumps, every jump time, negated if silent), how many belong to
+    each, and each angle at `horizon`."""
     omega, gamma = params.omega, params.gamma
     literal = semantics is JumpSemantics.KOLMOGOROV_LITERAL
-    # between jumps theta(t) = phase + omega*t/2; a jump at t resets it to 0
-    phase = np.full(n, float(params.theta0))
-    buf, counts = np.empty((n, 4)), np.zeros(n, dtype=np.intp)
+    lanes = min(-(-BLOCK // n), int(gamma * horizon // LANE_SPAN)) if omega else 1
+    lanes = max(1, lanes)
+    stop, every = horizon / lanes, all_jumps or lanes > 1
+    # theta(t) = phase + omega*t/2 in lane time; a jump at t resets it to 0
+    phase = np.full(n * lanes, float(params.theta0))
+    phase.reshape(n, lanes)[:, 1:] = 0.0
+    buf, counts = np.empty((phase.size, 4)), np.zeros(phase.size, dtype=np.intp)
     # the hazard is identically zero once omega = 0 and theta = 0
-    ids = np.arange(n if omega != 0.0 or params.theta0 != 0.0 else 0)
-    t, ph = np.zeros(ids.size), phase[ids]  # state of the active trajectories
+    ids = np.arange(phase.size if omega != 0.0 or params.theta0 != 0.0 else 0)
+    t, ph, rounds = np.zeros(ids.size), phase[ids], 0  # state of the active lanes
     while ids.size:
-        m = ids.size
+        if lanes > 1 and rounds % LANE_SPAN == 0:  # lane time that can reach H
+            need = horizon - _lane_starts(buf, counts, ids, t, stop, horizon, lanes)
+        m, rounds = ids.size, rounds + 1
         t = t + rng.exponential(size=m) / gamma
-        th = ph + 0.5 * omega * t
-        s2 = np.sin(th) ** 2
-        u = rng.random(m)
-        live = t < horizon
-        jump = live & (u < (s2 if literal else s2 * s2))
+        s2 = np.sin(ph + 0.5 * omega * t) ** 2
+        live = t < (horizon if lanes == 1 else need[ids])
+        jump = live & (rng.random(m) < (s2 if literal else s2 * s2))
         emit = (jump & (rng.random(m) < s2)) if literal else jump
-        if emit.any():
-            rows = ids[emit]
+        rec = jump if every else emit
+        if rec.any():
+            rows = ids[rec]
             if counts[rows].max() == buf.shape[1]:
                 buf = np.concatenate([buf, np.empty_like(buf)], axis=1)
-            buf[rows, counts[rows]] = t[emit]
+            buf[rows, counts[rows]] = (np.where(emit, t, -t) if every else t)[rec]
             counts[rows] += 1
         if jump.any():
-            if jumps is not None:
-                jumps.append((float(t[0]), float(reduce_angle(th[0])), bool(emit[0])))
             ph = np.where(jump, -0.5 * omega * t, ph)
             phase[ids[jump]] = ph[jump]
         keep = live & ~jump if omega == 0.0 else live
+        if lanes > 1:  # a lane ends at its first jump past its share of H
+            keep &= ~(jump & (t >= stop))
         if not keep.all():
             ids, t, ph = ids[keep], t[keep], ph[keep]
     times = buf[np.arange(buf.shape[1]) < counts[:, None]]
-    return times, counts, reduce_angle(phase + 0.5 * omega * horizon)
+    if lanes == 1:
+        return times, counts, reduce_angle(phase + 0.5 * omega * horizon)
+    start = _lane_starts(buf, counts, ids, t, stop, horizon, lanes)
+    t = np.abs(times) + np.repeat(start, counts)
+    owner, inside = np.repeat(np.arange(phase.size) // lanes, counts), t < horizon
+    jumps = np.bincount(owner[inside], minlength=n)
+    phase = np.full(n, float(params.theta0))  # the angle at H follows the last jump
+    phase[jumps > 0] = -0.5 * omega * t[inside][np.cumsum(jumps)[jumps > 0] - 1]
+    keep = inside if all_jumps else inside & (times > 0)
+    theta = reduce_angle(phase + 0.5 * omega * horizon)
+    return np.copysign(t, times)[keep], np.bincount(owner[keep], minlength=n), theta
 
 
 def simulate(
-    params: ModelParams,
-    semantics: JumpSemantics,
-    horizon: float,
-    src: SeededSource,
+    params: ModelParams, semantics: JumpSemantics, horizon: float, src: SeededSource
 ):
     """Simulate one trajectory; returns (jumps, Emissions).
 
     jumps lists (t, theta_before, emitted) for every jump in time order.
     """
     _check_horizon(horizon)
-    jumps = []
-    times, _, _ = _kernel(params, semantics, horizon, src.rng(), 1, jumps)
-    return jumps, Emissions(times, [0, times.size], horizon)
+    signed, _, _ = _kernel(params, semantics, horizon, src.rng(), 1, all_jumps=True)
+    t, omega = np.abs(signed), params.omega
+    phase = np.concatenate([[float(params.theta0)], -0.5 * omega * t])[:-1]
+    theta = reduce_angle(phase + 0.5 * omega * t)
+    jumps = list(zip(t.tolist(), theta.tolist(), (signed > 0).tolist()))
+    return jumps, Emissions(t[signed > 0], [0, np.count_nonzero(signed > 0)], horizon)
 
 
 def _run_ensemble(params, semantics, horizon, seed, n):
     """(times, counts, theta) of n trajectories, BLOCK per stream."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    parts = [
-        _kernel(
-            params, semantics, horizon, SeededSource(seed, b).rng(),
-            min(BLOCK, n - b * BLOCK),
-        )
-        for b in range(-(-n // BLOCK))
-    ]
+    rngs = [SeededSource(seed, b).rng() for b in range(-(-n // BLOCK))]
+    sizes = [min(BLOCK, n - b * BLOCK) for b in range(len(rngs))]
+    parts = [_kernel(params, semantics, horizon, *pair) for pair in zip(rngs, sizes)]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def ensemble_records(
-    params: ModelParams,
-    semantics: JumpSemantics,
-    horizon: float,
-    seed: int,
-    n: int,
+    params: ModelParams, semantics: JumpSemantics, horizon: float, seed: int, n: int
 ) -> Emissions:
     """Emission table of n trajectories with block-keyed seeded streams."""
     _check_horizon(horizon)
     times, counts, _ = _run_ensemble(params, semantics, horizon, seed, n)
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    return Emissions(times, offsets, horizon)
+    return Emissions(times, np.concatenate([[0], np.cumsum(counts)]), horizon)
 
 
 def ensemble_theta_at(
-    params: ModelParams,
-    semantics: JumpSemantics,
-    t: float,
-    seed: int,
-    n: int,
+    params: ModelParams, semantics: JumpSemantics, t: float, seed: int, n: int
 ) -> np.ndarray:
     """Angles of n independent trajectories sampled at time t."""
     _check_horizon(t, "t")
@@ -208,13 +225,10 @@ def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:
     idx = ((reduce_angle(angles) + np.pi / 2) // grid.cell_width).astype(int)
     idx = np.clip(idx, 0, grid.n_cells - 1)
     counts = np.bincount(idx, minlength=grid.n_cells).astype(float)
-    values = counts / (angles.size * grid.cell_width)
-    return ProbabilityField(grid, values)
+    return ProbabilityField(grid, counts / (angles.size * grid.cell_width))
 
 
-def interarrival_samples(
-    emissions: Emissions, origin_anchored: bool = False
-) -> np.ndarray:
+def interarrival_samples(emissions: Emissions, origin_anchored=False) -> np.ndarray:
     """Pooled successive emission-time differences, sorted.
 
     With origin_anchored=True the first emission time of each trajectory is

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qjump import baseline
 from qjump.baseline import DensityMatrix2
@@ -204,3 +207,34 @@ class TestDelayFunction:
             baseline.delay_function(p, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             baseline.delay_function(p, np.array([0.0, 2.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    end=st.floats(allow_nan=True, allow_infinity=True),
+    omega=st.floats(0.0, 1e3),
+    gamma=st.floats(1e-3, 1e3),
+)
+def test_delay_function_finite_or_names_tau_grid(end, omega, gamma):
+    p = ModelParams(omega, gamma)
+    ok = end > 0 and math.isfinite(end * (omega + gamma))
+    try:
+        density = baseline.delay_function(p, [0.0, end]).density
+    except ValueError as exc:
+        assert re.search(r"\btau_grid\b", str(exc)), exc
+        # a finite span is refused only when it is too coarse for the mass
+        assert not ok or "under-resolves" in str(exc), exc
+        return
+    assert ok and np.all(np.isfinite(density))
+
+
+def test_nan_grid_point_names_tau_grid():
+    with pytest.raises(ValueError, match="tau_grid"):
+        baseline.delay_function(ModelParams(3.33, 1.0), [0.0, math.nan])
+
+
+def test_coarse_grid_names_tau_grid():
+    # two points 3e32 apart: the trapezoid mass of the curve exceeds 1
+    with pytest.raises(ValueError, match="tau_grid under-resolves"):
+        baseline.delay_function(ModelParams(7.97e-17, 1.0), [0.0, 3.15e32])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qjump import cli
+from qjump import cli, io
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -153,8 +153,9 @@ class TestFig1Command:
         out = tmp_path / "fig1.csv"
         rc = cli.main(["fig1", "--n", "400", "--out", str(out)])
         assert rc == 0
-        assert (tmp_path / "fig1_a.csv").exists()
-        assert (tmp_path / "fig1_b.csv").exists()
+        for panel in "ab":
+            text = (tmp_path / f"fig1_{panel}.csv").read_text()
+            assert "# panel=both\n" in text and f"# this_panel={panel}\n" in text
 
     def test_summary_scalars(self, tmp_path):
         out = tmp_path / "fig1a.json"
@@ -315,7 +316,7 @@ HEADER_KEYS = {
 # scalars a CSV writes into its header beside the flags
 CSV_SCALARS = {
     "sweep": {"fit_exponent", "fit_r_squared"},
-    "fig1": {"panel", "omega_over_gamma", "axis_note", "mean_kolmogorov",
+    "fig1": {"this_panel", "omega_over_gamma", "axis_note", "mean_kolmogorov",
              "mean_baseline", "l1_distance"},
     "duality": {"slope"},
 }
@@ -334,6 +335,34 @@ def test_header_holds_exactly_the_flags(tmp_path, command, fmt):
                 for line in text.decode().splitlines() if line.startswith("# ")
             }
             assert keys == HEADER_KEYS[command] | CSV_SCALARS.get(command, set())
+
+
+@pytest.mark.parametrize("writer", [io.write_csv, io.write_json])
+def test_writers_refuse_a_scalar_named_like_a_config_key(tmp_path, writer):
+    out = tmp_path / "x.out"
+    with pytest.raises(ValueError, match="panel"):
+        writer(out, {"tau": [0.0, 1.0]}, {"panel": "a"}, {"panel": "both"})
+    assert not out.exists()
+
+
+def argv_from_csv_header(path):
+    """Flags that rerun a CSV output, read from its '# key=value' header."""
+    header = dict(line[2:].split("=", 1) for line in read_lines(path)
+                  if line.startswith("# "))
+    argv = [header["command"]]
+    for key in sorted(HEADER_KEYS[header["command"]] - {"command"}):
+        if header[key] != "None":  # None: chosen automatically
+            argv += [f"--{key.replace('_', '-')}", *header[key].strip("[]").split(", ")]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_csv_header_regenerates_output(tmp_path, command):
+    # fig1 --panel both writes two files; each header must rerun both
+    first = run_into(tmp_path / "first", [command, *SMALL_RUNS[command]], "csv")
+    for i, name in enumerate(first):
+        argv = argv_from_csv_header(tmp_path / "first" / name)
+        assert run_into(tmp_path / f"again{i}", argv, "csv") == first
 
 
 def argv_from_config(config):

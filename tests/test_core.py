@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,3 +263,71 @@ class TestDelayScales:
             ratios.append(core.mean_waiting_time(p) / core.weak_field_delay_scale(p))
         assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-6)
         assert 1.0 < ratios[0] < 5.0
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+moderate = st.floats(1e-3, 1e3)
+
+
+def assert_finite_or_names(call, ok, name):
+    """call() gives finite output when ok, else raises ValueError naming `name`."""
+    if ok:
+        assert np.all(np.isfinite(call()))
+        return
+    with pytest.raises(ValueError) as info:
+        call()
+    assert re.search(rf"\b{name}\b", str(info.value)), info.value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestInputContracts:
+    """Finite output, or a ValueError that names the bad parameter."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tau=any_float, omega=moderate, gamma=moderate,
+        law=st.sampled_from([core.waiting_time_density, core.waiting_time_cdf]),
+    )
+    def test_waiting_time_laws(self, tau, omega, gamma, law):
+        p = ModelParams(omega, gamma)
+        assert_finite_or_names(lambda: law(np.array([0.5, tau]), p), tau >= 0, "tau")
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=any_float, theta_start=any_float, omega=st.floats(0.0, 1e3))
+    def test_drift_angle(self, t, theta_start, omega):
+        ok = t >= 0 and math.isfinite(theta_start + 0.5 * omega * t)
+        call = lambda: core.drift_angle(t, ModelParams(omega, 1.0), theta_start)
+        name = "t" if not (0 <= t < math.inf) else "theta_start"
+        assert_finite_or_names(call, ok, name)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        omega=st.floats(1e-300, 10.0), gamma=st.floats(0.1, 10.0),
+        moment=st.sampled_from([core.mean_waiting_time, core.waiting_time_normalization]),
+    )
+    def test_waiting_time_moments(self, omega, gamma, moment):
+        ok = omega >= core.MIN_MOMENT_RATIO * gamma
+        assert_finite_or_names(lambda: moment(ModelParams(omega, gamma)), ok, "omega")
+
+    def test_cases_that_once_failed(self):
+        p = ModelParams(3.33, 1.0)
+        with pytest.raises(ValueError, match="tau"):
+            core.waiting_time_density(math.nan, p)
+        assert core.waiting_time_cdf(math.inf, p) == 1.0
+        assert core.waiting_time_density(math.inf, p) == 0.0
+        with pytest.raises(ValueError, match=r"\bt\b"):
+            core.drift_angle(math.inf, p, 0.0)
+        with pytest.raises(ValueError, match="omega"):
+            core.mean_waiting_time(ModelParams(1e-300, 1.0))
+        assert core.weak_field_delay_scale(ModelParams(1e-300, 1.0)) == pytest.approx(
+            1e240
+        )
+
+    def test_cap_leaves_the_laws_unchanged(self):
+        # past the cap exp(-gamma I) is exactly 0 with or without it
+        p = ModelParams(1.0 / 6.0, 1.0)
+        tau = np.array([1e4, 1e6, 1e12])
+        raw = np.exp(-p.gamma * core.intensity_integral(tau, p.omega))
+        assert np.all(raw == 0.0)
+        assert np.all(core.waiting_time_density(tau, p) == 0.0)
+        assert np.all(core.waiting_time_cdf(tau, p) == 1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
-from qjump import core, mc, pde, stats
+from qjump import cli, core, mc, pde, stats
 from qjump.core import JumpSemantics, ModelParams
 from qjump.mc import Emissions, SeededSource
 
@@ -311,3 +313,141 @@ class TestEmissionRateIdentity:
         th = mc.ensemble_theta_at(p, LITERAL, t + 0.5 * w, 41, n)
         predicted = float(np.mean(core.emission_intensity(th, p.gamma)))
         assert counts / (n * w) == pytest.approx(predicted, rel=0.1)
+
+
+def n_lanes(p, horizon, n):
+    """Renewal lanes per trajectory of a block of n, by the rule in mc's docstring."""
+    if p.omega == 0:
+        return 1
+    return max(1, min(-(-mc.BLOCK // n), int(p.gamma * horizon // mc.LANE_SPAN)))
+
+
+class CountingRng:
+    """A Generator that counts the candidate events (exponential draws)."""
+
+    def __init__(self, seed):
+        self.rng, self.candidates = np.random.default_rng(seed), 0
+
+    def exponential(self, size):
+        self.candidates += size
+        return self.rng.exponential(size=size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+class TestRenewalLanes:
+    # seeds fixed once; p > 1e-3 keeps a correct sampler's false alarms rare
+
+    def test_emission_intervals_follow_waiting_time_law(self):
+        p, horizon, n = ModelParams(3.33, 1.0), 4000.0, 6
+        assert n_lanes(p, horizon, n) == 15
+        recs = mc.ensemble_records(p, EMISSION, horizon, 2026, n)
+        gaps = mc.interarrival_samples(recs, origin_anchored=True)
+        assert gaps.size > 5000
+        # core's closed form serves only as the oracle here
+        rep = stats.ks_test(gaps, lambda x: core.waiting_time_cdf(x, p))
+        assert rep.p_value > 1e-3
+
+    def test_later_lanes_start_at_a_jump(self):
+        # about ten cycles per lane: had a later lane started at theta0 and
+        # not at 0, one gap in ten would be a short first-jump time
+        p, horizon, n = ModelParams(0.05, 1.0, 1.2), 5120.0, 8
+        assert n_lanes(p, horizon, n) == 20
+        recs = mc.ensemble_records(p, EMISSION, horizon, 18, n)
+        gaps = mc.interarrival_samples(recs)  # each starts at an emission
+        assert gaps.size > 1000
+        rep = stats.ks_test(gaps, lambda x: core.waiting_time_cdf(x, p))
+        assert rep.p_value > 1e-3
+
+    def test_literal_gaps_and_photon_rate_match_one_lane(self, monkeypatch):
+        p, horizon, n = ModelParams(3.33, 1.0), 1500.0, 64
+        assert n_lanes(p, horizon, n) == 5
+        lanes = mc.ensemble_records(p, LITERAL, horizon, 12, n)
+        monkeypatch.setattr(mc, "LANE_SPAN", math.inf)
+        one = mc.ensemble_records(p, LITERAL, horizon, 13, n)
+        gap_a, gap_b = mc.interarrival_samples(lanes), mc.interarrival_samples(one)
+        assert min(gap_a.size, gap_b.size) > 5000
+        assert ks_2samp(gap_a, gap_b).pvalue > 1e-3
+        ca, cb = np.diff(lanes.offsets), np.diff(one.offsets)  # photons per trajectory
+        se = math.sqrt(np.var(ca, ddof=1) / n + np.var(cb, ddof=1) / n)
+        assert abs(ca.mean() - cb.mean()) < 4 * se
+
+    def test_theta_at_with_theta0_matches_one_lane(self, monkeypatch):
+        p, t, n = ModelParams(0.01, 1.0, -0.6), 600.0, 2000
+        assert n_lanes(p, t, n) == 2
+        lanes = mc.ensemble_theta_at(p, LITERAL, t, 14, n)
+        monkeypatch.setattr(mc, "LANE_SPAN", math.inf)
+        one = mc.ensemble_theta_at(p, LITERAL, t, 15, n)
+        assert ks_2samp(lanes, one).pvalue > 1e-3
+
+    @pytest.mark.parametrize("semantics", [LITERAL, EMISSION])
+    def test_tiny_omega_censors_lanes_cheaply(self, semantics):
+        # cycles far longer than the horizon: lanes after the first are cut
+        # once they could only start past it, so the work stays a few times
+        # that of one lane per trajectory instead of `lanes` times
+        p, horizon, n = ModelParams(1e-6, 1.0), 5000.0, 3
+        lanes = n_lanes(p, horizon, n)
+        assert lanes == 19
+        rng = CountingRng(16)
+        times, counts, theta = mc._kernel(p, semantics, horizon, rng, n)
+        assert rng.candidates < 8 * n * p.gamma * horizon
+        assert np.all(np.isfinite(times)) and np.all(np.isfinite(theta))
+        assert counts.shape == (n,) and counts.sum() == times.size
+        assert np.all((-math.pi / 2 <= theta) & (theta < math.pi / 2))
+
+    @pytest.mark.parametrize("semantics", [LITERAL, EMISSION])
+    def test_long_simulate_is_consistent(self, semantics):
+        p, horizon = ModelParams(3.0, 2.0, 0.4), 400.0
+        assert n_lanes(p, horizon, 1) == 3
+        jumps, rec = mc.simulate(p, semantics, horizon, SeededSource(17))
+        times = np.array([t for t, _, _ in jumps])
+        assert times.size > 100
+        assert np.all(np.diff(times) > 0) and 0 < times[0] and times[-1] < horizon
+        emitted = [t for t, _, e in jumps if e]
+        assert np.array_equal(rec.times, emitted)
+        if semantics is EMISSION:
+            assert len(emitted) == len(jumps)
+        # theta before a jump is the drift since the previous one (or theta0)
+        since = np.diff(times, prepend=0.0)
+        start = np.r_[p.theta0, np.zeros(times.size - 1)]
+        expected = core.drift_angle(since, p, start)
+        assert np.allclose([th for _, th, _ in jumps], expected, atol=1e-9)
+
+
+# sha256 of the float64 bytes of (times, offsets, theta) and of a CLI file,
+# recorded before renewal lanes existed: each of these runs has one lane
+ONE_LANE_DIGESTS = {
+    "criterion_2": "907cd02a63e304b8ab250e2a4a88819e013f1195fe05f9ec7065c14a8ca2a544",
+    "criterion_4": "aa3b2ab4a04af020cdeb037260c275c819d9875ed284e2655bfed8f1ffd45de4",
+    "criterion_6_n1000": "74258dcb072a89306cb13d585d263d82c3dbfeb426e5fb0d5444808f8fa14113",
+    "cli_mc": "514f6c2ac9ce07554db205444e54f9a5e9fe3cb45af8f35032bcf58e401ab146",
+}
+ONE_LANE_RUNS = {
+    "criterion_2": (ModelParams(0.0, 1.0, math.pi / 4), LITERAL, 30.0, 42, 100_000),
+    "criterion_4": (ModelParams(3.33, 1.0), EMISSION, 300.0, 7, 100),
+    "criterion_6_n1000": (ModelParams(3.33, 1.0), LITERAL, 5.0, 99, 1000),
+}
+
+
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestOneLaneBitIdentity:
+    @pytest.mark.parametrize("name", list(ONE_LANE_RUNS))
+    def test_ensemble_unchanged(self, name):
+        p, semantics, horizon, seed, n = ONE_LANE_RUNS[name]
+        assert n_lanes(p, horizon, min(n, mc.BLOCK)) == 1
+        rec = mc.ensemble_records(p, semantics, horizon, seed, n)
+        theta = mc.ensemble_theta_at(p, semantics, horizon, seed, n)
+        assert sha256_of(rec.times, rec.offsets, theta) == ONE_LANE_DIGESTS[name]
+
+    def test_cli_mc_file_unchanged(self, tmp_path):
+        out = tmp_path / "em.csv"
+        argv = ["mc", "--n", "1000", "--horizon", "50", "--no-timestamp", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ONE_LANE_DIGESTS["cli_mc"]
