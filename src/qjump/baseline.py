@@ -59,14 +59,6 @@ class DensityMatrix2:
     def rho_ee(self):
         return self.matrix[1, 1].real
 
-    @property
-    def rho_ge(self):
-        return self.matrix[0, 1]
-
-    @property
-    def rho_eg(self):
-        return self.matrix[1, 0]
-
     def trace(self):
         return float(self.matrix.trace().real)
 

@@ -26,6 +26,9 @@ MAX_STEPS = 10**7
 # least omega/gamma of the waiting-time moments: below it the closed form of
 # gamma*I(tau) cancels down to an error above 1e-6 over the waiting-time span
 MIN_MOMENT_RATIO = 1e-12
+# most omega/gamma of the waiting-time moments: they take about 12 omega/gamma
+# Gauss-Legendre panels, under 1 s at this ratio on one core
+MAX_MOMENT_RATIO = 1e4
 
 
 class JumpSemantics(enum.Enum):
@@ -166,10 +169,10 @@ def _tail_panels(params: ModelParams):
     bounded however many periods T spans.
     """
     T = waiting_time_tail_cutoff(params)
-    if params.omega < MIN_MOMENT_RATIO * params.gamma:
+    if not MIN_MOMENT_RATIO * params.gamma <= params.omega <= MAX_MOMENT_RATIO * params.gamma:
         raise ValueError(
-            f"omega/gamma must be >= {MIN_MOMENT_RATIO:g} for the waiting-time "
-            f"moments, got omega={params.omega}, gamma={params.gamma}"
+            f"omega/gamma must lie in [{MIN_MOMENT_RATIO:g}, {MAX_MOMENT_RATIO:g}] for the "
+            f"waiting-time moments, got omega={params.omega}, gamma={params.gamma}"
         )
     tau_k = weak_field_delay_scale(params)
     width = min(2.0 * math.pi / params.omega, 2.0 * tau_k, T)
@@ -218,18 +221,42 @@ def no_pump_final_state(theta0):
     return math.sin(theta0), math.cos(theta0)
 
 
+def _scale(plain, factored, params: ModelParams):
+    """plain(), or the same power factored where plain() is not finite and nonzero.
+
+    A power of omega alone under- or overflows before the product with gamma
+    does; an overflowing float ** raises OverflowError rather than giving inf.
+    """
+    try:
+        value = plain()
+    except (OverflowError, ZeroDivisionError):
+        value = 0.0
+    if not 0.0 < value < math.inf:
+        value = factored()
+    if not value < math.inf:
+        raise ValueError(
+            f"omega={params.omega}, gamma={params.gamma} give a delay scale past the float range"
+        )
+    return value
+
+
 def weak_field_delay_scale(params: ModelParams):
     """Weak-field mean-delay scale (omega^4 * gamma)^(-1/5)."""
     if params.omega <= 0:
         raise ValueError("weak_field_delay_scale requires omega > 0")
-    scale = params.omega**4 * params.gamma
-    if scale == 0.0:  # omega**4 underflows: the same power, factored
-        return params.omega ** (-0.8) * params.gamma ** (-0.2)
-    return scale ** (-0.2)
+    return _scale(
+        lambda: (params.omega**4 * params.gamma) ** (-0.2),
+        lambda: params.omega ** (-0.8) * params.gamma ** (-0.2),
+        params,
+    )
 
 
 def dressed_delay_scale(params: ModelParams):
     """Dressed-atom delay scale gamma/omega^2, for comparison output."""
     if params.omega <= 0:
         raise ValueError("dressed_delay_scale requires omega > 0")
-    return params.gamma / params.omega**2
+    return _scale(
+        lambda: params.gamma / params.omega**2,
+        lambda: params.gamma / params.omega / params.omega,
+        params,
+    )

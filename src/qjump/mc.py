@@ -222,9 +222,7 @@ def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:
         raise ValueError("empty ensemble")
     if not np.all(np.isfinite(angles)):
         raise ValueError("angles must be finite")
-    idx = ((reduce_angle(angles) + np.pi / 2) // grid.cell_width).astype(int)
-    idx = np.clip(idx, 0, grid.n_cells - 1)
-    counts = np.bincount(idx, minlength=grid.n_cells).astype(float)
+    counts = np.bincount(grid.cell_of(angles), minlength=grid.n_cells).astype(float)
     return ProbabilityField(grid, counts / (angles.size * grid.cell_width))
 
 

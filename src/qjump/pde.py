@@ -11,14 +11,15 @@ cell centers once; the step, `populations` and the two dot products of
 
 At a fixed step the update is one column-stochastic n x n matrix A, a
 Markov-chain approximation in the sense of Kushner and Dupuis; `StepOperator`
-holds it and applies it as a stencil.  `solve` ends exactly at t_end: it takes
-the fewest equal steps t_end/n_steps that are no longer than the dt it is
-given.  Between snapshots it advances blocks of B steps with dense linear
-algebra: the state by A^B plus the response to the point mass fed into the
-source cell, and the excited population at every step of the block from the
-precomputed rows s2^T A^j.  B comes from the snapshot stride, the step count
-and the grid size; a solve with a snapshot every step, or too short for the
-matrix powers to pay, runs the stencil step by step.
+holds it and applies it as a stencil.  `solve` starts from a point mass at
+params.theta0, the one source of the start angle, and ends exactly at t_end:
+it takes the fewest equal steps t_end/n_steps that are no longer than the dt
+it is given.  Between snapshots it advances blocks of B steps with dense
+linear algebra: the state by A^B plus the response to the point mass fed into
+the source cell, and the excited population at every step of the block from
+the precomputed rows s2^T A^j.  B comes from the snapshot stride, the step
+count and the grid size; a solve with a snapshot every step, or too short for
+the matrix powers to pay, runs the stencil step by step.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ class ThetaGrid:
         self.sin_2theta = np.sin(2.0 * self.centers)
 
     def cell_of(self, theta):
-        """Index of the cell containing the reduced angle theta."""
-        theta = reduce_angle(theta)
-        return int((theta + HALF_PI) // self.cell_width) % self.n_cells
+        """Cell of the reduced angle theta, elementwise on arrays; pi/2 wraps to 0."""
+        index = (reduce_angle(theta) + HALF_PI) // self.cell_width % self.n_cells
+        return index.astype(int) if isinstance(index, np.ndarray) else int(index)
 
 
 # eq=False: field-wise == over ndarrays is ambiguous, so == is identity
@@ -102,9 +103,6 @@ class ProbabilityField:
 
     def total_mass(self):
         return float(np.sum(self.values) * self.grid.cell_width)
-
-    def copy(self):
-        return ProbabilityField(self.grid, self.values.copy(), self.time)
 
 
 def init_delta(grid: ThetaGrid, theta0: float) -> ProbabilityField:
@@ -128,15 +126,13 @@ def init_delta(grid: ThetaGrid, theta0: float) -> ProbabilityField:
     return ProbabilityField(grid, values, 0.0)
 
 
-def max_stable_dt(params: ModelParams, grid: ThetaGrid, cfl: float = DEFAULT_CFL):
-    """Largest dt satisfying the advective CFL bound and gamma*dt <= 0.1."""
-    if not 0 < cfl <= 1:
-        raise ValueError("cfl must lie in (0, 1]")
+def max_stable_dt(params: ModelParams, grid: ThetaGrid):
+    """Largest dt with Courant number DEFAULT_CFL and gamma*dt <= 0.1."""
     dt = MAX_GAMMA_DT / params.gamma
     if params.omega > 0:
         # not cfl*w/(0.5*omega): halving a subnormal omega underflows to 0;
         # dividing by it overflows to inf, which min() ignores
-        dt = min(dt, 2.0 * cfl * grid.cell_width / params.omega)
+        dt = min(dt, 2.0 * DEFAULT_CFL * grid.cell_width / params.omega)
     return dt
 
 
@@ -210,14 +206,16 @@ def population_rate(field: ProbabilityField, params: ModelParams):
 
 @dataclass
 class SolveResult:
-    """Sampled populations plus periodic field snapshots from a solve."""
+    """Sampled populations plus periodic field snapshots, the last at t_end."""
 
     times: np.ndarray
     rho0: np.ndarray
     rho1: np.ndarray
-    snapshot_times: list
     snapshots: list
-    final: ProbabilityField
+
+    @property
+    def final(self) -> ProbabilityField:
+        return self.snapshots[-1]
 
 
 def _hazard_integrals(angle, dt, params: ModelParams):
@@ -343,23 +341,20 @@ def solve(
     grid: ThetaGrid,
     t_end: float,
     dt: float,
-    theta0: float | None = None,
     snapshot_stride: int | None = None,
-    track_delta: bool = True,
 ) -> SolveResult:
-    """Run the solver from a delta at theta0 (default params.theta0) to t_end.
+    """Run the solver from a delta at params.theta0 to t_end.
 
     The solve takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps, so
     it ends exactly at t_end with a step no longer than dt.  Snapshots are
     kept every snapshot_stride steps (default n_steps // 100) and at t_end.
 
-    With track_delta (default) the not-yet-jumped point mass is propagated
-    analytically along its characteristic with exact survival decay, and only
-    the regular (post-jump) part lives on the grid; grid schemes smear a
-    transported delta, and at moderate resolution that smearing dominates
-    every comparison against trajectory ensembles.  Snapshots deposit the
-    surviving mass into the cell containing the characteristic; the rho series
-    uses the exact angle.  track_delta=False reproduces the pure grid scheme.
+    The not-yet-jumped point mass moves analytically along its characteristic
+    with exact survival decay, and only the post-jump part lives on the grid,
+    which starts empty: grid schemes smear a transported delta, and at
+    moderate resolution that smearing dominates every comparison against
+    trajectory ensembles.  Snapshots deposit the surviving mass into the cell
+    containing the characteristic; the rho series uses the exact angle.
     """
     n_steps, dt = time_steps(t_end, dt)
     op = StepOperator(params, grid, dt)
@@ -367,26 +362,12 @@ def solve(
         snapshot_stride = max(1, n_steps // 100)
     if not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
-    if theta0 is None:
-        theta0 = params.theta0
-    if not math.isfinite(theta0):
-        raise ValueError(f"theta0 must be finite, got {theta0}")
-    if not -HALF_PI <= theta0 < HALF_PI:
-        # the model is pi-periodic in theta; a huge angle would overflow to
-        # inf in the hazard integral's cos(a + b)
-        theta0 = reduce_angle(theta0)
-
     dx = grid.cell_width
     s2 = grid.sin2
     times = np.linspace(0.0, t_end, n_steps + 1)
-    angle = theta0 + 0.5 * params.omega * times
-    point = np.zeros(n_steps + 1)
-    if track_delta:
-        values = np.zeros(grid.n_cells)
-        point[0] = 1.0
-        np.cumprod(np.exp(-_hazard_integrals(angle, dt, params)), out=point[1:])
-    else:
-        values = init_delta(grid, theta0).values
+    angle = params.theta0 + 0.5 * params.omega * times
+    point = np.ones(n_steps + 1)
+    np.cumprod(np.exp(-_hazard_integrals(angle, dt, params)), out=point[1:])
     # density the point mass feeds into the source cell during step k
     forcing = (point[:-1] - point[1:]) / dx
 
@@ -398,18 +379,14 @@ def solve(
 
     size = _block_size(n_steps, snapshot_stride, grid.n_cells)
     grid_rho1 = np.empty(n_steps + 1)
-    args = (op, values, forcing, s2, snapshot_stride)
+    args = (op, np.zeros(grid.n_cells), forcing, s2, snapshot_stride)
     states = _stencil(*args, grid_rho1) if size == 1 else _blocks(*args, size, grid_rho1)
-    snapshot_times, snapshots = [], []
+    snapshots = []
     for k, vals in states:
-        snapshot_times.append(float(times[k]))
         snapshots.append(deposited(vals, k))
-    final = deposited(vals, n_steps)
     grid_rho1[n_steps] = s2 @ vals
 
     rho1 = dx * grid_rho1 + point * np.sin(angle) ** 2
-    # A keeps mass, so the grid holds its initial mass plus the cumulative
-    # forcing, which is what the point mass has lost: rho0 + rho1 stays at
-    # the initial total
-    rho0 = (dx * np.sum(values) + point[0]) - rho1
-    return SolveResult(times, rho0, rho1, snapshot_times, snapshots, final)
+    # A keeps mass, so the grid holds the cumulative forcing, which is what
+    # the point mass has lost: rho0 + rho1 stays at the unit total
+    return SolveResult(times, 1.0 - rho1, rho1, snapshots)

@@ -1,9 +1,10 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -302,12 +303,26 @@ class TestInputContracts:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        omega=st.floats(1e-300, 10.0), gamma=st.floats(0.1, 10.0),
+        omega=st.floats(1e-300, 1e300), gamma=st.floats(1e-300, 1e300),
         moment=st.sampled_from([core.mean_waiting_time, core.waiting_time_normalization]),
     )
+    # the strong field once ran for minutes; omega**4 once raised OverflowError
+    @example(omega=1.0, gamma=1e-306, moment=core.mean_waiting_time)
+    @example(omega=1e100, gamma=1e100, moment=core.mean_waiting_time)
     def test_waiting_time_moments(self, omega, gamma, moment):
-        ok = omega >= core.MIN_MOMENT_RATIO * gamma
+        ok = core.MIN_MOMENT_RATIO <= omega / gamma <= core.MAX_MOMENT_RATIO
         assert_finite_or_names(lambda: moment(ModelParams(omega, gamma)), ok, "omega")
+
+    @settings(max_examples=200, deadline=None)
+    @given(omega=st.floats(1e-300, 1e300), gamma=st.floats(1e-300, 1e300))
+    @example(omega=1e100, gamma=1e100)
+    @example(omega=1e200, gamma=1.0)
+    def test_delay_scales(self, omega, gamma):
+        p = ModelParams(omega, gamma)
+        assert 0.0 < core.weak_field_delay_scale(p) < math.inf
+        # gamma/omega^2 is a float where its logarithm is below the largest float's
+        ok = math.log(gamma) - 2.0 * math.log(omega) < math.log(sys.float_info.max)
+        assert_finite_or_names(lambda: core.dressed_delay_scale(p), ok, "omega")
 
     def test_cases_that_once_failed(self):
         p = ModelParams(3.33, 1.0)
@@ -321,6 +336,14 @@ class TestInputContracts:
             core.mean_waiting_time(ModelParams(1e-300, 1.0))
         assert core.weak_field_delay_scale(ModelParams(1e-300, 1.0)) == pytest.approx(
             1e240
+        )
+        with pytest.raises(ValueError, match="omega"):
+            core.mean_waiting_time(ModelParams(1.0, 1e-306))
+        big = ModelParams(1e100, 1e100)
+        assert core.weak_field_delay_scale(big) == pytest.approx(1e-100)
+        assert core.dressed_delay_scale(big) == pytest.approx(1e-100)
+        assert core.mean_waiting_time(big) == pytest.approx(
+            1e-100 * core.mean_waiting_time(ModelParams(1.0, 1.0)), rel=1e-12
         )
 
     def test_cap_leaves_the_laws_unchanged(self):

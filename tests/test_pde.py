@@ -48,6 +48,18 @@ class TestGrid:
         assert g.cell_of(-math.pi / 2) == 0
         assert g.cell_of(math.pi / 2 - 1e-12) == 63
 
+    def test_cell_of_array_matches_scalar(self):
+        g = ThetaGrid(64)
+        # the first angle reduces to exactly pi/2 by round-off and wraps to 0
+        theta = np.array(
+            [np.nextafter(-math.pi / 2, -math.inf), -math.pi / 2, math.pi / 2, 0.0,
+             math.pi / 2 - 1e-12, 0.3 + 3.0 * math.pi, -7.5]
+        )
+        cells = g.cell_of(theta)
+        assert cells.dtype.kind == "i" and cells.shape == theta.shape
+        assert cells.tolist() == [g.cell_of(float(t)) for t in theta]
+        assert cells[:5].tolist() == [0, 0, 0, g.source_index, 63]
+
     def test_equality_is_identity(self):
         g = ThetaGrid(64)
         assert (g == ThetaGrid(64)) is False
@@ -70,7 +82,7 @@ class TestField:
 
     def test_equality_is_identity(self):
         f = pde.init_delta(ThetaGrid(64), 0.3)
-        assert (f == f.copy()) is False
+        assert (f == ProbabilityField(f.grid, f.values.copy(), f.time)) is False
         assert (f == f) is True
 
 
@@ -262,12 +274,6 @@ class TestSolve:
         assert dists[-1] < 0.02
         assert dists[-1] < dists[0]
 
-    def test_pure_grid_scheme_also_conserves(self):
-        p = ModelParams(1.0, 1.0, 0.3)
-        g = ThetaGrid(64)
-        r = pde.solve(p, g, 5.0, pde.max_stable_dt(p, g), track_delta=False)
-        assert r.final.total_mass() == pytest.approx(1.0, abs=1e-12)
-
     def test_rejects_bad_t_end(self):
         p = ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):
@@ -277,7 +283,7 @@ class TestSolve:
         "name, t_end, dt, theta0",
         [
             *(
-                pytest.param(name, t_end, dt, None, id=f"{name}-{t_end}-{dt}")
+                pytest.param(name, t_end, dt, 0.0, id=f"{name}-{t_end}-{dt}")
                 for name, t_end, dt in [
                     ("t_end", math.nan, 0.01),
                     ("t_end", math.inf, 0.01),
@@ -289,23 +295,16 @@ class TestSolve:
             ),
             pytest.param("theta0", 1.0, 0.01, math.nan, id="theta0-nan"),
             pytest.param("theta0", 1.0, 0.01, math.inf, id="theta0-inf"),
-            pytest.param("t_end", 1e300, 1e-3, None, id="too-many-steps-t_end"),
-            pytest.param("dt", 1.0, 1e-200, None, id="too-many-steps-dt"),
+            pytest.param("t_end", 1e300, 1e-3, 0.0, id="too-many-steps-t_end"),
+            pytest.param("dt", 1.0, 1e-200, 0.0, id="too-many-steps-dt"),
         ],
     )
     def test_non_finite_input_names_parameter(self, name, t_end, dt, theta0):
         with pytest.raises(ValueError, match=name):
-            pde.solve(ModelParams(1.0, 1.0), ThetaGrid(64), t_end, dt, theta0=theta0)
-        if theta0 is not None:
+            pde.solve(ModelParams(1.0, 1.0, theta0), ThetaGrid(64), t_end, dt)
+        if theta0 != 0.0:
             with pytest.raises(ValueError, match="theta0"):
                 pde.init_delta(ThetaGrid(64), theta0)
-
-    def test_theta0_outside_the_cell_is_reduced(self):
-        p, g = ModelParams(3.33, 1.0), ThetaGrid(64)
-        ref = pde.solve(p, g, 2.0, 0.01, 0.3)
-        r = pde.solve(p, g, 2.0, 0.01, 0.3 + 3.0 * math.pi)
-        assert np.max(np.abs(r.rho1 - ref.rho1)) < 1e-12
-        assert np.max(np.abs(r.final.values - ref.final.values)) * g.cell_width < 1e-12
 
     @pytest.mark.parametrize("stride", [2.5, 2.0, math.nan, math.inf, "3", 0, -1])
     def test_rejects_bad_snapshot_stride(self, stride):
@@ -328,20 +327,23 @@ class TestSolve:
         dt=st.one_of(
             st.floats(0.05, 1.5), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.1])
         ),
-        theta0=st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+        theta0=st.one_of(
+            st.floats(-math.pi / 2, math.pi / 2, exclude_max=True),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
         stride=st.one_of(
             st.none(), st.integers(-3, 50), st.floats(allow_nan=True, allow_infinity=True)
         ),
     )
     @example(n_cells=16, omega=0.0, gamma=1.0, t_end=1, dt=1.0, theta0=8.98846567431158e307, stride=None)
     def test_finite_output_or_named_error(self, n_cells, omega, gamma, t_end, dt, theta0, stride):
-        p = ModelParams(omega, gamma)
         try:
+            p = ModelParams(omega, gamma, theta0)
             g = ThetaGrid(n_cells)
             dt *= pde.max_stable_dt(p, g)
             if isinstance(t_end, int):
                 t_end *= dt
-            r = pde.solve(p, g, t_end, dt, theta0, snapshot_stride=stride)
+            r = pde.solve(p, g, t_end, dt, snapshot_stride=stride)
         except ValueError as e:
             assert re.search(r"t_end|dt|theta0|snapshot_stride|n_cells", str(e)), str(e)
             return
@@ -363,8 +365,13 @@ class TestSolve:
         assert r.times.size == n_steps + 1
         assert r.times[-1] == t_end
         assert r.final.time == t_end
-        assert r.snapshot_times[-1] == t_end
         assert r.times[1] == t_end / n_steps <= dt
+
+    @pytest.mark.parametrize("dt, stride", [(0.03, 1), (0.03, 7), (0.03, 35), (0.001, 300)])
+    def test_snapshots_end_at_t_end(self, dt, stride):
+        r = pde.solve(ModelParams(0.1, 1.0), ThetaGrid(64), 1.0, dt, snapshot_stride=stride)
+        assert [s.time for s in r.snapshots] == [*r.times[:-1:stride], 1.0]
+        assert r.final is r.snapshots[-1]
 
     def test_whole_step_count_is_kept(self):
         # 100_000 * dt / dt is not exactly 100_000 in floating point
@@ -393,17 +400,14 @@ def _oracle_hazard(theta, dt, p):
     )
 
 
-def stencil_reference(p, grid, times, theta0, stride, track_delta):
+def stencil_reference(p, grid, times, stride):
     """The solve one pde.step at a time, with the point mass as a scalar recursion."""
     dt, dx = times[1], grid.cell_width
     s2 = np.sin(grid.centers) ** 2
-    if track_delta:
-        field, m = ProbabilityField(grid, np.zeros(grid.n_cells)), 1.0
-    else:
-        field, m = pde.init_delta(grid, theta0), 0.0
+    field, m = ProbabilityField(grid, np.zeros(grid.n_cells)), 1.0
     rho0, rho1, snapshots = [], [], []
     for k, t in enumerate(times):
-        theta = theta0 + 0.5 * p.omega * t
+        theta = p.theta0 + 0.5 * p.omega * t
         rho1.append(np.sum(field.values * s2) * dx + m * math.sin(theta) ** 2)
         rho0.append(np.sum(field.values * (1.0 - s2)) * dx + m * math.cos(theta) ** 2)
         if k % stride == 0 or k == times.size - 1:
@@ -423,36 +427,31 @@ class TestBlockPropagation:
     """Blocks of dense powers of A must reproduce the stencil step by step."""
 
     @pytest.mark.parametrize(
-        "omega, theta0, n_cells, n_steps, stride, track_delta",
+        "omega, theta0, n_cells, n_steps, stride",
         [
-            (0.0, math.pi / 4, 64, 300, 10, True),  # no transport
-            (2.0, 0.3, 64, 600, 37, True),  # Courant number exactly 1
-            (3.33, 0.3, 64, 700, 50, False),  # pure grid scheme
-            (3.33, 0.0, 64, 1000, 300, True),  # stride divides neither
-            (3.33, 0.2, 64, 200, 1, True),  # every state kept: the stencil
-            (1.0, 0.4, 16, 3000, 3000, True),
-            (3.33, -0.7, 257, 2000, 400, True),
-            (1.0 / 6.0, 1.2, 512, 4000, 4000, True),
+            (0.0, math.pi / 4, 64, 300, 10),  # no transport
+            (2.0, 0.3, 64, 600, 37),  # Courant number exactly 1
+            (3.33, 0.0, 64, 1000, 300),  # stride divides neither
+            (3.33, 0.2, 64, 200, 1),  # every state kept: the stencil
+            (1.0, 0.4, 16, 3000, 3000),
+            (3.33, -0.7, 257, 2000, 400),
+            (1.0 / 6.0, 1.2, 512, 4000, 4000),
         ],
     )
-    def test_matches_stencil(self, omega, theta0, n_cells, n_steps, stride, track_delta):
-        p = ModelParams(omega, 0.5)
+    def test_matches_stencil(self, omega, theta0, n_cells, n_steps, stride):
+        p = ModelParams(omega, 0.5, theta0)
         g = ThetaGrid(n_cells)
         # at omega = 2 a step of one cell width drifts exactly one cell
         dt = g.cell_width if omega == 2.0 else pde.max_stable_dt(p, g)
-        r = pde.solve(
-            p, g, n_steps * dt, dt, theta0, snapshot_stride=stride, track_delta=track_delta
-        )
+        r = pde.solve(p, g, n_steps * dt, dt, snapshot_stride=stride)
         assert r.times.size == n_steps + 1
         # the blocks run whenever states are skipped; stride 1 keeps the stencil
         assert (pde._block_size(n_steps, stride, n_cells) > 1) == (stride > 1)
         if omega == 2.0:
             assert pde.StepOperator(p, g, r.times[1]).courant == 1.0
-        rho0, rho1, snapshots = stencil_reference(
-            p, g, r.times, theta0, stride, track_delta
-        )
+        rho0, rho1, snapshots = stencil_reference(p, g, r.times, stride)
         assert np.max(np.abs(r.rho0 - rho0)) < 1e-12
         assert np.max(np.abs(r.rho1 - rho1)) < 1e-12
         assert len(r.snapshots) == len(snapshots)
-        for got, want in zip(r.snapshots + [r.final], snapshots + snapshots[-1:]):
+        for got, want in zip(r.snapshots, snapshots):
             assert np.max(np.abs(got.values - want)) * g.cell_width < 1e-12
