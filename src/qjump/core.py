@@ -154,9 +154,17 @@ def waiting_time_tail_cutoff(params: ModelParams, mass_tol=1e-12):
     """
     if params.omega == 0:
         raise ValueError("waiting_time_tail_cutoff requires omega > 0")
-    return (8.0 / (3.0 * params.gamma)) * (
+    cutoff = (8.0 / (3.0 * params.gamma)) * (
         -math.log(mass_tol) + params.gamma / params.omega
     )
+    # a finite T also bounds the moments' panel count: inside their ratio
+    # range T is at most about 1.2e5 panel widths
+    if not cutoff < math.inf:
+        raise ValueError(
+            f"omega={params.omega}, gamma={params.gamma} put the waiting-time tail "
+            "cutoff past the float range"
+        )
+    return cutoff
 
 
 def _tail_panels(params: ModelParams):

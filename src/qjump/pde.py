@@ -5,21 +5,16 @@ omega/2 on the periodic cell [-pi/2, pi/2), then an exact exponential sink
 gamma*sin^2(theta) per cell with all removed mass reinjected into the cell
 containing theta = 0.  Mass is conserved to round-off and positivity is
 unconditional.  At Courant number 1 the transport is an exact shift in
-floating point.  `ThetaGrid` computes sin^2, sin^4 and sin(2 theta) at its
-cell centers once; the step, `populations` and the two dot products of
-`population_rate` read them.
+floating point.
 
 At a fixed step the update is one column-stochastic n x n matrix A, a
 Markov-chain approximation in the sense of Kushner and Dupuis; `StepOperator`
 holds it and applies it as a stencil.  `solve` starts from a point mass at
-params.theta0, the one source of the start angle, and ends exactly at t_end:
-it takes the fewest equal steps t_end/n_steps that are no longer than the dt
-it is given.  Between snapshots it advances blocks of B steps with dense
-linear algebra: the state by A^B plus the response to the point mass fed into
-the source cell, and the excited population at every step of the block from
-the precomputed rows s2^T A^j.  B comes from the snapshot stride, the step
-count and the grid size; a solve with a snapshot every step, or too short for
-the matrix powers to pay, runs the stencil step by step.
+params.theta0 and ends exactly at t_end.  Its snapshots are the rows of one
+table, checked once and handed out as `ProbabilityField` views.  Between
+snapshots it advances blocks of B steps by dense powers of A, B chosen from
+the snapshot stride, the step count and the grid size; a solve with a
+snapshot every step, or too short for the powers to pay, runs the stencil.
 """
 
 from __future__ import annotations
@@ -52,9 +47,8 @@ MAX_BLOCK_CELLS = 1024
 class ThetaGrid:
     """Uniform periodic grid of n_cells cells covering [-pi/2, pi/2).
 
-    It owns the trigonometric tables at the cell centers that the step, the
-    populations and the population rate read: sin2 = sin^2, sin4 = sin^4 and
-    sin_2theta = sin(2 theta).
+    The step, the populations and the population rate read its tables at the
+    cell centers: sin2 = sin^2, sin4 = sin^4 and sin_2theta = sin(2 theta).
     """
 
     n_cells: int = DEFAULT_N_CELLS
@@ -97,9 +91,19 @@ class ProbabilityField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_cells,):
             raise ValueError("values must have one entry per grid cell")
-        # min is NaN if any value is; max catches +inf
-        if not 0.0 <= self.values.min() <= self.values.max() < math.inf:
+        self._check(self.values)
+
+    @staticmethod
+    def _check(values):
+        if not 0.0 <= values.min() <= values.max() < math.inf:  # NaN fails min
             raise ValueError("densities must be finite and nonnegative")
+
+    @classmethod
+    def _row(cls, grid: ThetaGrid, values, time: float):
+        """A field over a row of a table that has passed _check."""
+        view = cls.__new__(cls)
+        view.grid, view.values, view.time = grid, values, time
+        return view
 
     def total_mass(self):
         return float(np.sum(self.values) * self.grid.cell_width)
@@ -136,45 +140,50 @@ def max_stable_dt(params: ModelParams, grid: ThetaGrid):
     return dt
 
 
-def _check_dt(params: ModelParams, grid: ThetaGrid, dt: float):
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if params.omega > 0 and dt * 0.5 * params.omega > grid.cell_width * (1 + 1e-12):
-        raise ValueError(
-            f"dt={dt} violates the advective stability bound "
-            f"dt <= {grid.cell_width / (0.5 * params.omega)}"
-        )
-    if dt * params.gamma > MAX_GAMMA_DT * (1 + 1e-12):
-        raise ValueError(f"dt={dt} violates gamma*dt <= {MAX_GAMMA_DT}")
-
-
 class StepOperator:
     """One split step of size dt as a fixed linear map A on the cell densities.
 
-    Built once per (params, grid, dt): it owns the Courant number, the
+    Built once per (params, grid, dt): it owns the Courant number c, the
     per-cell survival factors and their complements, the loss factors.
-    Transport is the convex combination (1 - c) v + c upwind, which at
-    Courant number c = 1 is an exact shift in floating point.
     """
 
     def __init__(self, params: ModelParams, grid: ThetaGrid, dt: float):
-        _check_dt(params, grid, dt)
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
+        if params.omega > 0 and dt * 0.5 * params.omega > grid.cell_width * (1 + 1e-12):
+            raise ValueError(
+                f"dt={dt} violates the advective stability bound "
+                f"dt <= {grid.cell_width / (0.5 * params.omega)}"
+            )
+        if dt * params.gamma > MAX_GAMMA_DT * (1 + 1e-12):
+            raise ValueError(f"dt={dt} violates gamma*dt <= {MAX_GAMMA_DT}")
         self.grid = grid
         self.courant = 0.5 * params.omega * dt / grid.cell_width
         self.survival = np.exp(-params.gamma * grid.sin2 * dt)
         self.loss = 1.0 - self.survival
+        self._work = np.empty(grid.n_cells)
 
-    def apply(self, values):
-        """A along the last axis: upwind transport, then sink + source reinjection."""
+    def apply(self, values, out=None):
+        """A along the last axis: upwind transport, then sink + source reinjection.
+
+        Writes into out (a new array if None; it may be values itself) and
+        returns it.  One state's step works in the operator's one spare row, so
+        one thread at a time; with out given it allocates nothing.
+        """
         c = self.courant
+        out = np.empty(values.shape) if out is None else out
+        work = self._work if out.ndim == 1 else np.empty(out.shape)
         if c > 0.0:
-            upwind = np.concatenate((values[..., -1:], values[..., :-1]), axis=-1)
-            values = (1.0 - c) * values + c * upwind
+            # (1 - c) v + c upwind, an exact shift at c = 1; .T: cells first
+            np.multiply(values.T[:-1], c, out=work.T[1:])
+            work.T[0] = values.T[-1] * c
+            np.multiply(values, 1.0 - c, out=out)
+            values = np.add(out, work, out=out)
         # density increment = removed mass / cell_width = sum of removed densities
-        removed = (values * self.loss).sum(axis=-1)
-        values = values * self.survival
-        values[..., self.grid.source_index] += removed
-        return values
+        removed = np.add.reduce(np.multiply(values, self.loss, out=work), axis=-1)
+        np.multiply(values, self.survival, out=out)
+        out.T[self.grid.source_index] += removed
+        return out
 
     def matrix(self):
         """A as a dense n x n array (column j is the stencil applied to e_j)."""
@@ -200,7 +209,7 @@ def population_rate(field: ProbabilityField, params: ModelParams):
     """d(rho1)/dt as the quadrature of p * (omega/2 * sin(2 theta) - gamma sin^4)."""
     g, v = field.grid, field.values
     return float(
-        g.cell_width * (0.5 * params.omega * (v @ g.sin_2theta) - params.gamma * (v @ g.sin4))
+        g.cell_width * (0.5 * params.omega * v.dot(g.sin_2theta) - params.gamma * v.dot(g.sin4))
     )
 
 
@@ -259,20 +268,15 @@ def _block_size(n_steps, stride, n_cells):
     return best
 
 
-def _stencil(op: StepOperator, values, forcing, s2, stride, out):
-    """Step by step; yields (k, state) at each snapshot step and at the end.
-
-    Sets out[k] = s2 . state for every step before the last.
-    """
-    n_steps = forcing.size
+def _stencil(op: StepOperator, table, forcing, s2, stride, out):
+    """Step by step, each into the row of the state it makes; fills table like _blocks."""
     source = op.grid.source_index
-    for k in range(n_steps):
-        out[k] = s2 @ values
-        if k % stride == 0:
-            yield k, values
-        values = op.apply(values)
-        values[source] += forcing[k]
-    yield n_steps, values
+    rows = list(table)
+    values = rows[0]
+    for k, f in enumerate(forcing.tolist(), 1):
+        out[k - 1] = s2.dot(values)
+        values = op.apply(values, out=rows[-(-k // stride)])
+        values[source] += f
 
 
 def _block_tables(a, s2, source, size, lengths):
@@ -306,11 +310,13 @@ def _block_tables(a, s2, source, size, lengths):
         span *= 2
 
 
-def _blocks(op: StepOperator, values, forcing, s2, stride, size, out):
-    """Blocks of at most size steps; yields and sets out like _stencil.
+def _blocks(op: StepOperator, table, forcing, s2, stride, size, out):
+    """Blocks of at most size steps from table[0], the state at step 0.
 
-    Over a block of L steps from state v with source forcing f_0..f_{L-1}:
-    the state ends at A^L v + sum_j f_j A^(L-1-j) e_source, and
+    The state at step k goes into table[ceil(k / stride)], and out[k] gets
+    s2 . state for every step k before the last.  Over a block of L steps
+    from state v with source forcing f_0..f_{L-1}: the state ends at
+    A^L v + sum_j f_j A^(L-1-j) e_source, and
     s2 . state_j = (s2^T A^j) v + sum_{i<j} h_(j-1-i) f_i, h_j = s2^T A^j e_source.
     """
     n_steps = forcing.size
@@ -318,12 +324,10 @@ def _blocks(op: StepOperator, values, forcing, s2, stride, size, out):
     for start in range(0, n_steps, stride):
         q, r = divmod(min(stride, n_steps - start), size)
         lengths += [size] * q + [r] * (r > 0)
-    rows, states, powers = _block_tables(
-        op.matrix(), s2, op.grid.source_index, size, set(lengths)
-    )
-    impulse = rows[:, op.grid.source_index]
-    yield 0, values
-    k = 0
+    source = op.grid.source_index
+    rows, states, powers = _block_tables(op.matrix(), s2, source, size, set(lengths))
+    impulse = rows[:, source]
+    values, k = table[0], 0
     for length in lengths:
         f = forcing[k : k + length]
         out[k : k + length] = rows[:length] @ values
@@ -332,8 +336,7 @@ def _blocks(op: StepOperator, values, forcing, s2, stride, size, out):
             values += f[::-1] @ states[:length]
             out[k + 1 : k + length] += np.convolve(impulse[:length], f)[: length - 1]
         k += length
-        if k % stride == 0 or k == n_steps:
-            yield k, values
+        table[-(-k // stride)] = values
 
 
 def solve(
@@ -348,7 +351,6 @@ def solve(
     The solve takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps, so
     it ends exactly at t_end with a step no longer than dt.  Snapshots are
     kept every snapshot_stride steps (default n_steps // 100) and at t_end.
-
     The not-yet-jumped point mass moves analytically along its characteristic
     with exact survival decay, and only the post-jump part lives on the grid,
     which starts empty: grid schemes smear a transported delta, and at
@@ -362,8 +364,7 @@ def solve(
         snapshot_stride = max(1, n_steps // 100)
     if not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
-    dx = grid.cell_width
-    s2 = grid.sin2
+    dx, s2 = grid.cell_width, grid.sin2
     times = np.linspace(0.0, t_end, n_steps + 1)
     angle = params.theta0 + 0.5 * params.omega * times
     point = np.ones(n_steps + 1)
@@ -371,21 +372,20 @@ def solve(
     # density the point mass feeds into the source cell during step k
     forcing = (point[:-1] - point[1:]) / dx
 
-    def deposited(vals, k):
-        out = vals.copy()
-        if point[k] > 0.0:
-            out[grid.cell_of(angle[k])] += point[k] / dx
-        return ProbabilityField(grid, out, float(times[k]))
-
     size = _block_size(n_steps, snapshot_stride, grid.n_cells)
     grid_rho1 = np.empty(n_steps + 1)
-    args = (op, np.zeros(grid.n_cells), forcing, s2, snapshot_stride)
-    states = _stencil(*args, grid_rho1) if size == 1 else _blocks(*args, size, grid_rho1)
-    snapshots = []
-    for k, vals in states:
-        snapshots.append(deposited(vals, k))
-    grid_rho1[n_steps] = s2 @ vals
-
+    # the snapshot table: row i holds the state at step min(i * stride, n_steps)
+    steps = np.append(np.arange(0, n_steps, snapshot_stride), n_steps)
+    table = np.zeros((steps.size, grid.n_cells))
+    if size == 1:
+        _stencil(op, table, forcing, s2, snapshot_stride, grid_rho1)
+    else:
+        _blocks(op, table, forcing, s2, snapshot_stride, size, grid_rho1)
+    grid_rho1[n_steps] = s2 @ table[-1]
+    # a row whose point mass is gone gains an exact 0
+    table[np.arange(steps.size), grid.cell_of(angle[steps])] += point[steps] / dx
+    ProbabilityField._check(table)
+    snapshots = [ProbabilityField._row(grid, v, t) for v, t in zip(table, times[steps].tolist())]
     rho1 = dx * grid_rho1 + point * np.sin(angle) ** 2
     # A keeps mass, so the grid holds the cumulative forcing, which is what
     # the point mass has lost: rho0 + rho1 stays at the unit total

@@ -303,15 +303,27 @@ class TestInputContracts:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        omega=st.floats(1e-300, 1e300), gamma=st.floats(1e-300, 1e300),
+        omega=st.floats(0.0, 1e300, exclude_min=True),
+        gamma=st.floats(0.0, 1e300, exclude_min=True),
         moment=st.sampled_from([core.mean_waiting_time, core.waiting_time_normalization]),
     )
     # the strong field once ran for minutes; omega**4 once raised OverflowError
     @example(omega=1.0, gamma=1e-306, moment=core.mean_waiting_time)
     @example(omega=1e100, gamma=1e100, moment=core.mean_waiting_time)
+    # the tail cutoff once overflowed to inf, and once made a NaN panel count
+    @example(omega=1e-309, gamma=1e-297, moment=core.mean_waiting_time)
+    @example(omega=1e-308, gamma=1e-308, moment=core.mean_waiting_time)
     def test_waiting_time_moments(self, omega, gamma, moment):
         ok = core.MIN_MOMENT_RATIO <= omega / gamma <= core.MAX_MOMENT_RATIO
-        assert_finite_or_names(lambda: moment(ModelParams(omega, gamma)), ok, "omega")
+        call = lambda: moment(ModelParams(omega, gamma))
+        if ok and min(omega, gamma) < 1e-300:
+            # a tail cutoff of order 1/omega + 1/gamma may pass the float range
+            try:
+                assert math.isfinite(call())
+            except ValueError as e:
+                assert re.search(r"\b(omega|gamma)\b", str(e)), e
+            return
+        assert_finite_or_names(call, ok, "omega")
 
     @settings(max_examples=200, deadline=None)
     @given(omega=st.floats(1e-300, 1e300), gamma=st.floats(1e-300, 1e300))
@@ -339,6 +351,9 @@ class TestInputContracts:
         )
         with pytest.raises(ValueError, match="omega"):
             core.mean_waiting_time(ModelParams(1.0, 1e-306))
+        for tiny in (ModelParams(1e-309, 1e-297), ModelParams(1e-308, 1e-308)):
+            with pytest.raises(ValueError, match=r"omega=.*gamma="):
+                core.mean_waiting_time(tiny)
         big = ModelParams(1e100, 1e100)
         assert core.weak_field_delay_scale(big) == pytest.approx(1e-100)
         assert core.dressed_delay_scale(big) == pytest.approx(1e-100)

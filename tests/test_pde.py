@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qjump import core, pde
+from qjump import cli, core, pde
 from qjump.core import ModelParams
 from qjump.pde import ProbabilityField, ThetaGrid
 
@@ -455,3 +456,133 @@ class TestBlockPropagation:
         assert len(r.snapshots) == len(snapshots)
         for got, want in zip(r.snapshots, snapshots):
             assert np.max(np.abs(got.values - want)) * g.cell_width < 1e-12
+
+
+# sha256 of the float64 bytes of a solve's (times, rho0, rho1, stacked
+# snapshot values, snapshot times), of StepOperator.matrix(), and of
+# --no-timestamp CLI files, recorded while the solver still built and checked
+# each snapshot on its own
+PDE_DIGESTS = {
+    "stencil_stride1": "00142e45e3d6e9e5bca6f9ded366618a63d495d5123551499b0b18693f724707",
+    "stencil_stride7": "00863d10a947c7a0b4f6fc70225d2982685d565403ab299e3d916338c1b59c73",
+    "blocks": "9ebd6efaea3a73020d4ea0bc888dca1ba341b2f5191ba2783bcc75a05eca2aa9",
+    "no_pump": "357adbbb3d962692a143b1216b8330d6631c844c8d228a95b4563bf483b3af1b",
+    "matrix_c0": "5715e0ca106ea37262bff18d41570056ea0f27e924b4b71e22aec7bbce13976f",
+    "matrix_c_mid": "b8c049cac6f66ff5426547c981cd14116b049d64cd4b9cb9b4a423c0a5bcf992",
+    "matrix_c1": "5c7002b67167a40d5443d505c3b284f9fe502124b23d8e9b9b4f6054622fa7b5",
+    "cli_pde": "49ec21c0e372b267362bb96a2f59fa15d81a5f31f8cc6bbd1aa440c934b3ae9f",
+    "cli_duality": "7cdf782762467d0d9e30dafaa7d0c0da2fd7506cf5d0715c2b63d776e5623618",
+}
+# (params, n_cells, t_end, snapshot_stride) at dt = max_stable_dt; an integer
+# t_end counts steps of dt
+SOLVE_RUNS = {
+    "stencil_stride1": (ModelParams(3.33, 1.0), 256, 2000, 1),
+    "stencil_stride7": (ModelParams(3.33, 1.0, 0.3), 256, 150, 7),
+    "blocks": (ModelParams(3.33, 1.0, -0.7), 128, 2000, 400),
+    "no_pump": (ModelParams(0.0, 1.0, math.pi / 4), 256, 10.0, None),
+}
+# (params, dt) on a 64-cell grid: Courant number 0, strictly between 0 and 1,
+# and 1 (dt=None: one cell width at omega = 2)
+STEP_OPERATORS = {
+    "c0": (ModelParams(0.0, 1.0), 0.05),
+    "c_mid": (ModelParams(3.33, 1.0), 0.0123),
+    "c1": (ModelParams(2.0, 0.5), None),
+}
+CLI_RUNS = {
+    "cli_pde": ["pde", "--omega", "3.33", "--theta0", "0.3", "--horizon", "5"],
+    "cli_duality": ["duality"],
+}
+
+
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def step_operator(name):
+    p, dt = STEP_OPERATORS[name]
+    g = ThetaGrid(64)
+    return pde.StepOperator(p, g, g.cell_width if dt is None else dt)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name", list(SOLVE_RUNS))
+    def test_solve_unchanged(self, name):
+        p, n_cells, t_end, stride = SOLVE_RUNS[name]
+        g = ThetaGrid(n_cells)
+        dt = pde.max_stable_dt(p, g)
+        r = pde.solve(p, g, t_end * dt if isinstance(t_end, int) else t_end, dt, stride)
+        n_steps = r.times.size - 1
+        blocks = pde._block_size(n_steps, stride or max(1, n_steps // 100), n_cells) > 1
+        assert blocks == (name == "blocks")
+        values = np.stack([s.values for s in r.snapshots])
+        times = np.array([s.time for s in r.snapshots])
+        assert sha256_of(r.times, r.rho0, r.rho1, values, times) == PDE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(STEP_OPERATORS))
+    def test_matrix_unchanged(self, name):
+        assert sha256_of(step_operator(name).matrix()) == PDE_DIGESTS[f"matrix_{name}"]
+
+    @pytest.mark.parametrize("name", list(CLI_RUNS))
+    def test_cli_file_unchanged(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main([*CLI_RUNS[name], "--no-timestamp", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PDE_DIGESTS[name]
+
+
+class TestApplyOut:
+    @pytest.mark.parametrize("name", list(STEP_OPERATORS))
+    @pytest.mark.parametrize("shape", [(64,), (3, 64)])
+    def test_out_is_bitwise_the_allocating_apply(self, name, shape):
+        op = step_operator(name)
+        c = op.courant
+        assert {"c0": c == 0.0, "c_mid": 0.0 < c < 1.0, "c1": c == 1.0}[name]
+        values = 10.0 ** np.random.default_rng(5).uniform(-15.0, 0.0, shape)
+        kept = values.copy()
+        want = op.apply(values)
+        buf = np.full(shape, np.nan)
+        assert op.apply(values, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert values.tobytes() == kept.tobytes()
+        # out may be the input itself: the step then runs in place
+        assert op.apply(values, out=values) is values
+        assert values.tobytes() == want.tobytes()
+
+
+class TestSnapshotTable:
+    @pytest.mark.parametrize("stride", [1, 7, 37])
+    def test_snapshots_are_rows_of_one_table(self, stride):
+        p, g = ModelParams(3.33, 1.0, 0.3), ThetaGrid(64)
+        dt = pde.max_stable_dt(p, g)
+        r = pde.solve(p, g, 600 * dt, dt, stride)
+        table = r.snapshots[0].values.base
+        assert table is not None and table.shape == (len(r.snapshots), g.n_cells)
+        want_times = [*r.times[:-1:stride], r.times[-1]]
+        assert [s.time for s in r.snapshots] == want_times
+        for s in r.snapshots:
+            assert type(s) is ProbabilityField and type(s.time) is float
+            assert s.grid is g and s.values.base is table
+        # the public constructor still checks a row it is handed
+        bad = r.snapshots[1].values.copy()
+        bad[5] = -1.0
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ProbabilityField(g, bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("stride", [1, 37])
+    def test_table_is_checked_once(self, monkeypatch, bad, stride):
+        # a step that spoils the state must still fail the solve's one check
+        apply = pde.StepOperator.apply
+
+        def spoiled(self, values, out=None):
+            result = apply(self, values, out=out)
+            result[..., 0] = bad
+            return result
+
+        monkeypatch.setattr(pde.StepOperator, "apply", spoiled)
+        p, g = ModelParams(3.33, 1.0), ThetaGrid(64)
+        dt = pde.max_stable_dt(p, g)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite and"):
+            pde.solve(p, g, 600 * dt, dt, stride)
