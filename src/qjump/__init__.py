@@ -15,7 +15,7 @@ from .core import (
     weak_field_delay_scale,
 )
 from .pde import ProbabilityField, ThetaGrid, init_delta, populations, solve, step
-from .mc import Emissions, EmissionTimes, SeededSource, simulate
+from .mc import Emissions, EmissionTimes
 from .baseline import DensityMatrix2, delay_function, integrate, lindblad_rhs
 from .stats import DelayDistribution, KsReport, ks_test, mean_delay, scaling_regression
 

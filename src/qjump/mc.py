@@ -13,15 +13,14 @@ Lane 1 starts at theta0, the others at 0; each stops at its first jump past
 H/lanes, or once the rest of it would lie past H.  Put end to end in order
 and cut at H, the lanes have the law of one run to H.
 
-All lanes of a block draw from its stream SeededSource(seed, block), with
-BLOCK trajectories per block.  An ensemble of n is not a prefix of a larger
-one, and simulate(SeededSource(seed, i)) is not its trajectory i.
+One stream rule: block b of an ensemble, BLOCK trajectories, draws all its
+lanes from np.random.default_rng((seed, b)).  An ensemble of n is not a
+prefix of a larger one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,23 +30,6 @@ from .pde import ProbabilityField, ThetaGrid
 
 BLOCK = 4096  # trajectories per RNG stream
 LANE_SPAN = 256  # gamma * time that every renewal lane spans at least
-
-
-@dataclass(frozen=True)
-class SeededSource:
-    """Reproducible RNG identity: same (seed, stream_id) gives the same path."""
-
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-
-    def rng(self):
-        return np.random.default_rng((self.seed, self.stream_id))
 
 
 class EmissionTimes(NamedTuple):
@@ -116,17 +98,16 @@ def _lane_starts(buf, counts, ids, t, stop, horizon, lanes):
     return start.ravel()
 
 
-def _kernel(params, semantics, horizon, rng, n, all_jumps=False):
+def _kernel(params, semantics, horizon, rng, n):
     """Thinning on n trajectories at once, each run as renewal lanes.
 
-    Returns (times, counts, theta): all trajectories' emission times in order
-    (with all_jumps, every jump time, negated if silent), how many belong to
-    each, and each angle at `horizon`."""
+    Returns (times, counts, theta): all trajectories' emission times in order,
+    how many belong to each, and each angle at `horizon`."""
     omega, gamma = params.omega, params.gamma
     literal = semantics is JumpSemantics.KOLMOGOROV_LITERAL
     lanes = min(-(-BLOCK // n), int(gamma * horizon // LANE_SPAN)) if omega else 1
     lanes = max(1, lanes)
-    stop, every = horizon / lanes, all_jumps or lanes > 1
+    stop, every = horizon / lanes, lanes > 1  # lanes keep every jump, silent < 0
     # theta(t) = phase + omega*t/2 in lane time; a jump at t resets it to 0
     phase = np.full(n * lanes, float(params.theta0))
     phase.reshape(n, lanes)[:, 1:] = 0.0
@@ -167,32 +148,18 @@ def _kernel(params, semantics, horizon, rng, n, all_jumps=False):
     jumps = np.bincount(owner[inside], minlength=n)
     phase = np.full(n, float(params.theta0))  # the angle at H follows the last jump
     phase[jumps > 0] = -0.5 * omega * t[inside][np.cumsum(jumps)[jumps > 0] - 1]
-    keep = inside if all_jumps else inside & (times > 0)
+    keep = inside & (times > 0)
     theta = reduce_angle(phase + 0.5 * omega * horizon)
     return np.copysign(t, times)[keep], np.bincount(owner[keep], minlength=n), theta
-
-
-def simulate(
-    params: ModelParams, semantics: JumpSemantics, horizon: float, src: SeededSource
-):
-    """Simulate one trajectory; returns (jumps, Emissions).
-
-    jumps lists (t, theta_before, emitted) for every jump in time order.
-    """
-    _check_horizon(horizon)
-    signed, _, _ = _kernel(params, semantics, horizon, src.rng(), 1, all_jumps=True)
-    t, omega = np.abs(signed), params.omega
-    phase = np.concatenate([[float(params.theta0)], -0.5 * omega * t])[:-1]
-    theta = reduce_angle(phase + 0.5 * omega * t)
-    jumps = list(zip(t.tolist(), theta.tolist(), (signed > 0).tolist()))
-    return jumps, Emissions(t[signed > 0], [0, np.count_nonzero(signed > 0)], horizon)
 
 
 def _run_ensemble(params, semantics, horizon, seed, n):
     """(times, counts, theta) of n trajectories, BLOCK per stream."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    rngs = [SeededSource(seed, b).rng() for b in range(-(-n // BLOCK))]
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    rngs = [np.random.default_rng((seed, b)) for b in range(-(-n // BLOCK))]
     sizes = [min(BLOCK, n - b * BLOCK) for b in range(len(rngs))]
     parts = [_kernel(params, semantics, horizon, *pair) for pair in zip(rngs, sizes)]
     return tuple(np.concatenate(column) for column in zip(*parts))

@@ -11,6 +11,14 @@ _KINDS = ("analytic", "empirical", "baseline")
 MASS_TOL = 1e-3
 
 
+def _finite(name, values):
+    """`values` as a float array, or a ValueError naming `name`."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 @dataclass
 class DelayDistribution:
     """Waiting-time density sampled on an increasing tau grid."""
@@ -20,14 +28,15 @@ class DelayDistribution:
     kind: str = "analytic"
 
     def __post_init__(self):
-        self.tau_grid = np.asarray(self.tau_grid, dtype=float)
-        self.density = np.asarray(self.density, dtype=float)
+        self.tau_grid = _finite("tau_grid", self.tau_grid)
+        self.density = _finite("density", self.density)
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.tau_grid.ndim != 1 or self.tau_grid.shape != self.density.shape:
             raise ValueError("tau_grid and density must be matching 1-d arrays")
-        if self.tau_grid.size >= 2 and np.any(np.diff(self.tau_grid) <= 0):
-            raise ValueError("tau_grid must be strictly increasing")
+        steps = np.diff(self.tau_grid)
+        if not np.all((steps > 0) & (steps < np.inf)):
+            raise ValueError("tau_grid must be strictly increasing in finite steps")
         if np.any(self.density < 0):
             raise ValueError("density must be nonnegative")
         if self.integral() > 1.0 + 1e-6:
@@ -72,10 +81,10 @@ def ks_test(samples, cdf) -> KsReport:
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     if n < 10:
-        raise ValueError(f"need at least 10 samples, got {n}")
+        raise ValueError(f"ks_test needs at least 10 samples, got {n}")
     if not np.isfinite(samples).all() or samples[0] < 0:
         raise ValueError("samples must be finite and nonnegative")
-    f = np.asarray(cdf(samples), dtype=float)
+    f = _finite("cdf", cdf(samples))
     grid = np.arange(n + 1) / n
     stat = float(max(np.max(grid[1:] - f), np.max(f - grid[:-1])))
     p = _kolmogorov_sf(np.sqrt(n) * stat)
@@ -85,11 +94,13 @@ def ks_test(samples, cdf) -> KsReport:
 def mean_delay(dist: DelayDistribution) -> float:
     """Trapezoidal mean of the distribution over its grid."""
     if dist.tau_grid.size < 2:
-        raise ValueError("mean_delay needs a grid with at least two points")
+        raise ValueError("mean_delay needs a tau_grid of at least two points")
     mass = dist.integral()
+    if mass <= 0:
+        raise ValueError("density has no mass")
     if dist.kind in ("analytic", "empirical") and abs(mass - 1.0) > MASS_TOL:
         raise ValueError(
-            f"{dist.kind} distribution mass {mass:.6f} deviates from 1 "
+            f"{dist.kind} density mass {mass:.6f} deviates from 1 "
             f"by more than {MASS_TOL}"
         )
     if mass < 1.0 - MASS_TOL:
@@ -103,30 +114,35 @@ def mean_delay(dist: DelayDistribution) -> float:
 
 def empirical_delay_distribution(samples, tau_grid) -> DelayDistribution:
     """Histogram density of interarrival samples on the given grid."""
-    samples = np.asarray(samples, dtype=float)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if samples.size == 0:
-        raise ValueError("no samples")
+    samples = _finite("samples", samples)
+    # DelayDistribution's checks of the grid
+    tau_grid = DelayDistribution(tau_grid, np.zeros(np.shape(tau_grid))).tau_grid
+    if samples.size == 0 or tau_grid.size < 2:
+        raise ValueError("need samples and a tau_grid of at least two points")
     counts, _ = np.histogram(samples, bins=tau_grid)
-    widths = np.diff(tau_grid)
-    dens_bins = counts / (samples.size * widths)
-    # bin densities assigned to bin midpoints, then interpolated to the grid
-    mids = 0.5 * (tau_grid[:-1] + tau_grid[1:])
-    density = np.interp(tau_grid, mids, dens_bins, left=0.0, right=0.0)
-    dist = DelayDistribution(tau_grid, density, kind="empirical")
-    return dist.normalized()
+    with np.errstate(all="ignore"):  # a non-finite result is refused below
+        dens_bins = counts / (samples.size * np.diff(tau_grid))
+        # bin densities assigned to bin midpoints, then interpolated to the
+        # grid; across a wide bin interp can round a near-0 value below 0
+        mids = 0.5 * (tau_grid[:-1] + tau_grid[1:])
+        density = np.interp(tau_grid, mids, dens_bins, left=0.0, right=0.0)
+        density = np.maximum(density, 0.0)
+        density = density / np.trapezoid(density, tau_grid)
+    if not np.isfinite(density).all():
+        raise ValueError("samples must give a finite, nonzero mass on tau_grid")
+    return DelayDistribution(tau_grid, density, kind="empirical")
 
 
 def scaling_regression(points) -> tuple[float, float]:
     """Log-log least-squares slope and r^2 of (gamma, mean_delay) pairs."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-        raise ValueError("need at least 3 (gamma, mean_delay) pairs")
-    if np.any(pts <= 0):
-        raise ValueError("all values must be positive")
+        raise ValueError("points must hold at least 3 (gamma, mean_delay) pairs")
+    if not np.all(np.isfinite(pts) & (pts > 0)):
+        raise ValueError("points must be finite and positive")
     lx, ly = np.log(pts[:, 0]), np.log(pts[:, 1])
     if np.ptp(lx) == 0:
-        raise ValueError("gamma values must hold at least two distinct numbers")
+        raise ValueError("points must hold at least two distinct gamma values")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))

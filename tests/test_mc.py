@@ -10,7 +10,7 @@ from scipy.stats import ks_2samp
 
 from qjump import cli, core, mc, pde, stats
 from qjump.core import JumpSemantics, ModelParams
-from qjump.mc import Emissions, SeededSource
+from qjump.mc import Emissions
 
 LITERAL = JumpSemantics.KOLMOGOROV_LITERAL
 EMISSION = JumpSemantics.EMISSION_ONLY
@@ -19,15 +19,15 @@ EMISSION = JumpSemantics.EMISSION_ONLY
 class TestDeterminism:
     def test_same_source_same_trajectory(self):
         p = ModelParams(2.0, 1.0)
-        j1, r1 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 3))
-        j2, r2 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 3))
-        assert j1 == j2
+        r1 = mc.ensemble_records(p, LITERAL, 50.0, 7, 3)
+        r2 = mc.ensemble_records(p, LITERAL, 50.0, np.int64(7), 3)
         assert np.array_equal(r1.times, r2.times)
+        assert np.array_equal(r1.offsets, r2.offsets)
 
     def test_different_stream_differs(self):
         p = ModelParams(2.0, 1.0)
-        _, r1 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 0))
-        _, r2 = mc.simulate(p, LITERAL, 50.0, SeededSource(7, 1))
+        r1 = mc.ensemble_records(p, LITERAL, 50.0, 7, 3)
+        r2 = mc.ensemble_records(p, LITERAL, 50.0, 8, 3)
         assert not np.array_equal(r1.times, r2.times)
 
 
@@ -42,8 +42,6 @@ class TestEnsembleInputs:
     def test_rejects_bad_horizon(self, horizon):
         p = ModelParams(2.0, 1.0)
         with pytest.raises(ValueError, match="horizon"):
-            mc.simulate(p, LITERAL, horizon, SeededSource(0))
-        with pytest.raises(ValueError, match="horizon"):
             mc.ensemble_records(p, LITERAL, horizon, 0, 4)
         with pytest.raises(ValueError, match=r"\bt\b"):
             mc.ensemble_theta_at(p, LITERAL, horizon, 0, 4)
@@ -51,15 +49,14 @@ class TestEnsembleInputs:
     @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, "7"])
     def test_rejects_bad_seed(self, seed):
         p = ModelParams(2.0, 1.0)
-        with pytest.raises(ValueError, match="seed"):
-            mc.simulate(p, LITERAL, 5.0, SeededSource(seed))
         for ensemble in (mc.ensemble_records, mc.ensemble_theta_at):
             with pytest.raises(ValueError, match="seed"):
                 ensemble(p, LITERAL, 5.0, seed, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        entry=st.sampled_from(["simulate", "ensemble_records", "ensemble_theta_at"]),
+        entry=st.sampled_from(["ensemble_records", "ensemble_theta_at"]),
+        semantics=st.sampled_from([LITERAL, EMISSION]),
         omega=st.sampled_from([0.0, 0.5, 3.33]),
         theta0=st.sampled_from([0.0, 0.7]),
         horizon=st.one_of(
@@ -68,7 +65,9 @@ class TestEnsembleInputs:
         seed=st.one_of(st.integers(-3, 2**64), st.floats(-2.0, 2.0)),
         n=st.integers(1, 40),
     )
-    def test_output_finite_or_named_error(self, entry, omega, theta0, horizon, seed, n):
+    def test_output_finite_or_named_error(
+        self, entry, semantics, omega, theta0, horizon, seed, n
+    ):
         p = ModelParams(omega, 1.0, theta0)
         time_name = "t" if entry == "ensemble_theta_at" else "horizon"
         bad = set()
@@ -77,13 +76,10 @@ class TestEnsembleInputs:
         if not (isinstance(seed, int) and seed >= 0):
             bad.add("seed")
         try:
-            if entry == "simulate":
-                jumps, rec = mc.simulate(p, EMISSION, horizon, SeededSource(seed, n))
-                out = [rec.times, [t for t, _, _ in jumps]]
-            elif entry == "ensemble_records":
-                out = [mc.ensemble_records(p, LITERAL, horizon, seed, n).times]
+            if entry == "ensemble_records":
+                out = [mc.ensemble_records(p, semantics, horizon, seed, n).times]
             else:
-                out = [mc.ensemble_theta_at(p, LITERAL, horizon, seed, n)]
+                out = [mc.ensemble_theta_at(p, semantics, horizon, seed, n)]
         except ValueError as exc:
             named = [name for name in bad if re.search(rf"\b{name}\b", str(exc))]
             assert named, f"{exc!r} names none of {bad}"
@@ -95,23 +91,10 @@ class TestEnsembleInputs:
 class TestTrajectoryStructure:
     def test_tiny_gamma_pure_rabi_drift(self):
         p = ModelParams(2.0, 1e-9)
-        jumps, rec = mc.simulate(p, LITERAL, 10.0, SeededSource(0))
+        rec = mc.ensemble_records(p, LITERAL, 10.0, 0, 1)
         assert rec.times.size == 0
-        assert jumps == []
         theta = mc.ensemble_theta_at(p, LITERAL, 0.7, 0, 1)
         assert theta[0] == pytest.approx(core.drift_angle(0.7, p, 0.0))
-
-    def test_jump_times_strictly_increasing(self):
-        p = ModelParams(3.0, 2.0)
-        jumps, _ = mc.simulate(p, LITERAL, 100.0, SeededSource(1))
-        times = [t for t, _, _ in jumps]
-        assert all(a < b for a, b in zip(times, times[1:]))
-
-    def test_emissions_subset_of_jumps(self):
-        p = ModelParams(3.0, 2.0)
-        jumps, rec = mc.simulate(p, LITERAL, 100.0, SeededSource(2))
-        emitted = [t for t, _, e in jumps if e]
-        assert np.array_equal(rec.times, emitted)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -400,19 +383,9 @@ class TestRenewalLanes:
     def test_long_simulate_is_consistent(self, semantics):
         p, horizon = ModelParams(3.0, 2.0, 0.4), 400.0
         assert n_lanes(p, horizon, 1) == 3
-        jumps, rec = mc.simulate(p, semantics, horizon, SeededSource(17))
-        times = np.array([t for t, _, _ in jumps])
+        times = mc.ensemble_records(p, semantics, horizon, 17, 1).times
         assert times.size > 100
         assert np.all(np.diff(times) > 0) and 0 < times[0] and times[-1] < horizon
-        emitted = [t for t, _, e in jumps if e]
-        assert np.array_equal(rec.times, emitted)
-        if semantics is EMISSION:
-            assert len(emitted) == len(jumps)
-        # theta before a jump is the drift since the previous one (or theta0)
-        since = np.diff(times, prepend=0.0)
-        start = np.r_[p.theta0, np.zeros(times.size - 1)]
-        expected = core.drift_angle(since, p, start)
-        assert np.allclose([th for _, th, _ in jumps], expected, atol=1e-9)
 
 
 # sha256 of the float64 bytes of (times, offsets, theta) and of a CLI file,

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import kolmogorov
 
 from qjump import core, stats
@@ -183,3 +186,95 @@ class TestDistances:
         a = analytic_distribution(p, 40.0)
         b = analytic_distribution(ModelParams(1.0, 1.0), 40.0)
         assert stats.l1_distance(a, b) == pytest.approx(stats.l1_distance(b, a))
+
+
+NUMBERS = st.one_of(st.floats(-1.0, 40.0), st.floats(allow_nan=True, allow_infinity=True))
+# (grid, value) pairs: all in range, so that calls also succeed, or any floats
+PAIRS = st.one_of(
+    st.lists(st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 0.2)), max_size=14),
+    st.lists(st.tuples(NUMBERS, NUMBERS), max_size=14),
+)
+ARGUMENTS = {
+    "DelayDistribution": ("tau_grid", "density", "kind"),
+    "mean_delay": ("tau_grid", "density", "kind"),
+    "ks_test": ("samples", "cdf"),
+    "empirical_delay_distribution": ("samples", "tau_grid"),
+    "scaling_regression": ("points",),
+}
+
+
+def _non_finite(entry, grid, values, cdf):
+    """Arguments of the call that hold a non-finite value.
+
+    The cdf counts only through its values on samples that ks_test accepts."""
+    if entry == "ks_test":
+        samples = np.sort(grid)
+        ok = samples.size >= 10 and np.isfinite(samples).all() and samples[0] >= 0
+        arrays = {"samples": grid, "cdf": cdf(samples) if ok else 0.0}
+    elif entry == "scaling_regression":
+        arrays = {"points": np.concatenate([grid, values])}
+    elif entry == "empirical_delay_distribution":
+        arrays = {"samples": values, "tau_grid": grid}
+    else:
+        arrays = {"tau_grid": grid, "density": values}
+    return [name for name, a in arrays.items() if not np.isfinite(a).all()]
+
+
+def _outputs(entry, grid, values, kind, cdf):
+    """What the call of `entry` returns, as floats and arrays."""
+    if entry == "ks_test":
+        rep = stats.ks_test(grid, cdf)
+        return [rep.statistic, rep.p_value]
+    if entry == "scaling_regression":
+        return list(stats.scaling_regression(np.column_stack([grid, values])))
+    if entry == "empirical_delay_distribution":
+        dist = stats.empirical_delay_distribution(values, grid)
+        return [dist.tau_grid, dist.density]
+    dist = DelayDistribution(grid, values, kind)
+    if entry == "mean_delay":
+        return [stats.mean_delay(dist)]
+    return [dist.tau_grid, dist.density, dist.integral()]
+
+
+class TestInputContracts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entry=st.sampled_from(list(ARGUMENTS)),
+        pairs=PAIRS,
+        order=st.sampled_from(["drawn", "sorted", "unit mass"]),
+        kind=st.sampled_from(["analytic", "empirical", "baseline", "bogus"]),
+        rate=NUMBERS,
+    )
+    # each of these was accepted, gave NaN or raised LinAlgError before
+    @example("mean_delay", [(0, 0.1), (1, math.nan), (2, 0.1)], "sorted", "baseline", 1)
+    @example("ks_test", [(k, 0.0) for k in range(12)], "sorted", "analytic", math.inf)
+    @example("scaling_regression", [(1, 1), (2, math.nan), (3, 3)], "drawn", "analytic", 1)
+    @example("scaling_regression", [(1, 1), (2, 2), (math.inf, 3)], "drawn", "analytic", 1)
+    @example(
+        "empirical_delay_distribution",
+        [(0, 0.5), (1, 1.5), (2, math.nan), (3, 2.5)],
+        "sorted",
+        "analytic",
+        1.0,
+    )
+    def test_finite_output_or_named_error(self, entry, pairs, order, kind, rate):
+        """Finite output, or a ValueError naming a bad argument.
+
+        A non-finite argument must be refused, by its name."""
+        grid, values = np.array(pairs, dtype=float).reshape(-1, 2).T
+        grid = grid if order == "drawn" else np.sort(grid)
+        cdf = lambda v: 1.0 - np.exp(-rate * v)  # noqa: E731
+        with np.errstate(all="ignore"):
+            mass = np.trapezoid(values, grid)
+            if order == "unit mass" and 0 < mass < math.inf:
+                values = values / mass
+            bad = _non_finite(entry, grid, values, cdf)
+            try:
+                out = _outputs(entry, grid, values, kind, cdf)
+            except ValueError as exc:
+                names = bad or ARGUMENTS[entry]
+                named = [n for n in names if re.search(rf"\b{n}\b", str(exc))]
+                assert named, f"{exc!r} names none of {names}"
+                return
+        assert not bad, f"accepted non-finite {bad}"
+        assert all(np.isfinite(np.asarray(x, dtype=float)).all() for x in out)
