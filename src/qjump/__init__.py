@@ -16,7 +16,7 @@ from .core import (
 )
 from .pde import ProbabilityField, ThetaGrid, init_delta, populations, solve, step
 from .mc import Emissions, EmissionTimes
-from .baseline import DensityMatrix2, delay_function, integrate, lindblad_rhs
+from .baseline import DensityMatrix2, delay_function, integrate
 from .stats import DelayDistribution, KsReport, ks_test, mean_delay, scaling_regression
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,11 +7,11 @@ the gain (recycling) term gives a nonconservative evolution whose trace loss
 rate, gamma*rho_ee, is the delay function: the density of the first emission
 after a reset to the ground state.
 
-`integrate` evolves a density matrix with fixed-step RK4.  `delay_function`
-does not: started in the ground state, the truncated evolution keeps the
-state pure, psi' = -i H_eff psi with H_eff = H - i gamma/2 |e><e|, so it
-propagates the two amplitudes exactly with exp(-i H_eff h) for each grid
-spacing h.
+One real 4x4 generator, `_generator(params, weight)`, acting on
+(rho_gg, rho_ee, Re rho_ge, Im rho_ge), carries the whole master equation;
+`weight` scales the jump term gamma*rho_ee -> rho_gg (1: full evolution,
+0: truncated).  `integrate` and `delay_function` advance the state by the
+exact step propagator exp(L h), and `steady_state` solves for L's null vector.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ import numpy as np
 
 from .core import ModelParams, time_steps
 from .stats import DelayDistribution
-
-MAX_RATE_DT = 0.1
-
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-_N_EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 @dataclass
@@ -63,42 +58,47 @@ class DensityMatrix2:
         return float(self.matrix.trace().real)
 
 
-def _hamiltonian(params: ModelParams):
-    return 0.5 * params.omega * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+def _generator(params: ModelParams, weight: float):
+    """Master equation d/dt (rho_gg, rho_ee, Re rho_ge, Im rho_ge) = L x.
+
+    H = (omega/2) sigma_x drives the populations through Im rho_ge; decay at
+    gamma empties rho_ee into rho_gg with the jump term scaled by `weight`,
+    and damps the coherence at gamma/2.
+    """
+    om, g = params.omega, params.gamma
+    return np.array(
+        [
+            [0.0, weight * g, 0.0, -om],
+            [0.0, -g, 0.0, om],
+            [0.0, 0.0, -0.5 * g, 0.0],
+            [0.5 * om, -0.5 * om, 0.0, -0.5 * g],
+        ]
+    )
 
 
-def _rhs(m, params: ModelParams, truncated: bool):
-    h = _hamiltonian(params)
-    out = -1j * (h @ m - m @ h)
-    out -= 0.5 * params.gamma * (_N_EXCITED @ m + m @ _N_EXCITED)
-    if not truncated:
-        out += params.gamma * (_SIGMA_MINUS @ m @ _SIGMA_MINUS.conj().T)
+def _density_matrix(x) -> DensityMatrix2:
+    gg, ee, re_ge, im_ge = x
+    rho_ge = complex(re_ge, im_ge)
+    return DensityMatrix2(np.array([[gg, rho_ge], [rho_ge.conjugate(), ee]]))
+
+
+def _expm(a):
+    """exp(a) of an n x n matrix, n <= 4: a Taylor series of a / 2**s, squared s times.
+
+    s brings the 1-norm of the scaled matrix below 1/2, where 16 terms leave
+    a remainder far below double precision.  The norm is taken of a/4, whose
+    column sums cannot overflow for n <= 4.
+    """
+    s = max(0, math.frexp(np.abs(0.25 * a).sum(axis=0).max())[1] + 3)
+    a = a * 0.5**s
+    term = np.eye(len(a))
+    out = term
+    for k in range(1, 17):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
     return out
-
-
-def lindblad_rhs(
-    rho: DensityMatrix2, params: ModelParams, truncated: bool = False
-) -> DensityMatrix2:
-    """Right-hand side of the (optionally truncated) master equation."""
-    return DensityMatrix2(_rhs(rho.matrix, params, truncated))
-
-
-def _rk4_step(m, dt, params, truncated):
-    k1 = _rhs(m, params, truncated)
-    k2 = _rhs(m + 0.5 * dt * k1, params, truncated)
-    k3 = _rhs(m + 0.5 * dt * k2, params, truncated)
-    k4 = _rhs(m + dt * k3, params, truncated)
-    m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return 0.5 * (m + m.conj().T)  # enforce Hermiticity against drift
-
-
-def _check_dt(params: ModelParams, dt: float):
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if dt * max(params.omega, params.gamma) > MAX_RATE_DT * (1 + 1e-12):
-        raise ValueError(
-            f"dt={dt} violates dt*max(omega, gamma) <= {MAX_RATE_DT}"
-        )
 
 
 def integrate(
@@ -108,90 +108,68 @@ def integrate(
     dt: float,
     truncated: bool = False,
 ):
-    """Fixed-step RK4 evolution; returns (times, list of DensityMatrix2).
+    """Evolution by the exact step propagator; returns (times, list of DensityMatrix2).
 
-    Takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps.
+    Takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps.  Any step is
+    stable, with a trace round-off of about 1e-15 * h * (omega + gamma) each.
     """
-    _check_dt(params, dt)
     n_steps, h = time_steps(t_end, dt)
-    m = rho0.matrix.copy()
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    states = [DensityMatrix2(m.copy())]
+    propagator = _expm(_generator(params, 0.0 if truncated else 1.0) * h)
+    m = rho0.matrix
+    x = np.array([m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag])
+    states = [_density_matrix(x)]
     for _ in range(n_steps):
-        m = _rk4_step(m, h, params, truncated)
-        states.append(DensityMatrix2(m.copy()))
-    return times, states
+        x = propagator @ x
+        states.append(_density_matrix(x))
+    return np.linspace(0.0, t_end, n_steps + 1), states
 
 
 def steady_state(params: ModelParams) -> DensityMatrix2:
-    """Stationary state of the full evolution, from the linear system."""
-    # unknowns: rho_gg, rho_ee, Re(rho_ge), Im(rho_ge)
-    om, g = params.omega, params.gamma
-    a = np.array(
-        [
-            [0.0, g, 0.0, -om],
-            [0.0, -g, 0.0, om],
-            [0.0, 0.0, -0.5 * g, 0.0],
-            [0.5 * om, -0.5 * om, 0.0, -0.5 * g],
-        ]
-    )
-    a = np.vstack([a, [1.0, 1.0, 0.0, 0.0]])
+    """Stationary state of the full evolution: L x = 0 with unit trace."""
+    a = np.vstack([_generator(params, 1.0), [1.0, 1.0, 0.0, 0.0]])
     b = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    rho_ge = x[2] + 1j * x[3]
-    return DensityMatrix2(
-        np.array([[x[0], rho_ge], [np.conj(rho_ge), x[1]]], dtype=complex)
-    )
-
-
-def _expm2(a):
-    """exp(a) of a 2x2 matrix: a Taylor series of a / 2**s, squared s times.
-
-    s brings the 1-norm of the scaled matrix below 1/2, where 16 terms leave
-    a remainder far below double precision.
-    """
-    s = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1] + 1)
-    a = a * 0.5**s
-    term = np.eye(2, dtype=complex)
-    out = term.copy()
-    for k in range(1, 17):
-        term = term @ a / k
-        out = out + term
-    for _ in range(s):
-        out = out @ out
-    return out
+    return _density_matrix(x)
 
 
 def delay_function(params: ModelParams, tau_grid) -> DelayDistribution:
     """Delay function from the truncated evolution started in the ground state.
 
-    Equal to -d/dtau Tr rho(tau) = gamma * |psi_e(tau)|^2, where the pure
-    truncated state psi advances from one grid point to the next by the exact
-    step propagator exp(-i H_eff h), computed once per distinct spacing h.
+    Equal to -d/dtau Tr rho(tau) = gamma * rho_ee(tau), where the truncated
+    state advances from one grid point to the next by the exact step
+    propagator exp(L_0 h), computed once per distinct spacing h.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size < 2:
         raise ValueError("tau_grid must contain at least two points")
-    # the step generator times the span must stay finite for _expm2
+    # the step generator times the span must stay finite for _expm
     span_rate = float(tau_grid[-1]) * (params.omega + params.gamma)
     if not (tau_grid[0] == 0.0 and np.all(np.diff(tau_grid) > 0)
             and math.isfinite(span_rate)):
         raise ValueError("tau_grid must start at 0 and increase, with "
                          "tau_grid[-1] * (omega + gamma) finite")
 
-    half_rabi = 0.5j * params.omega
-    generator = np.array([[0.0, -half_rabi], [-half_rabi, -0.5 * params.gamma]])
+    generator = _generator(params, 0.0)
     propagators = {}
-    amp_g, amp_e = 1.0 + 0.0j, 0.0j
-    excited = np.empty(tau_grid.size, dtype=complex)
-    excited[0] = amp_e
+    gg, ee, re_ge, im_ge = 1.0, 0.0, 0.0, 0.0
+    excited = np.empty(tau_grid.size)
+    excited[0] = ee
     for i, h in enumerate(np.diff(tau_grid).tolist(), start=1):
         p = propagators.get(h)
         if p is None:
-            p = propagators[h] = _expm2(generator * h).ravel().tolist()
-        amp_g, amp_e = p[0] * amp_g + p[1] * amp_e, p[2] * amp_g + p[3] * amp_e
-        excited[i] = amp_e
-    density = params.gamma * (excited.real**2 + excited.imag**2)
+            p = propagators[h] = _expm(generator * h).ravel().tolist()
+        # unpacked into locals: indexing p sixteen times per step costs more
+        p00, p01, p02, p03, p10, p11, p12, p13, p20, p21, p22, p23, p30, p31, p32, p33 = p
+        gg, ee, re_ge, im_ge = (
+            p00 * gg + p01 * ee + p02 * re_ge + p03 * im_ge,
+            p10 * gg + p11 * ee + p12 * re_ge + p13 * im_ge,
+            p20 * gg + p21 * ee + p22 * re_ge + p23 * im_ge,
+            p30 * gg + p31 * ee + p32 * re_ge + p33 * im_ge,
+        )
+        excited[i] = ee
+    # rho_ee is |psi_e|^2 >= 0 (the truncated state stays pure), but where it
+    # touches 0 the 4x4 step can round it to about -1e-17
+    density = params.gamma * np.maximum(excited, 0.0)
     bad = ~np.isfinite(density)
     if bad.any():
         raise ArithmeticError(f"propagator failure at tau={tau_grid[bad.argmax()]}")

@@ -23,12 +23,20 @@ _PANELS_PER_BLOCK = 2048
 # most steps time_steps allows: pde.solve keeps about 55 bytes per step,
 # 0.55 GB at this count
 MAX_STEPS = 10**7
-# least omega/gamma of the waiting-time moments: below it the closed form of
-# gamma*I(tau) cancels down to an error above 1e-6 over the waiting-time span
+# least omega/gamma of the waiting-time moments, a floor of policy rather than
+# accuracy: intensity_integral's series branch keeps the mass within 1e-15 of
+# 1 down to omega/gamma = 1e-30
 MIN_MOMENT_RATIO = 1e-12
 # most omega/gamma of the waiting-time moments: they take about 12 omega/gamma
 # Gauss-Legendre panels, under 1 s at this ratio on one core
 MAX_MOMENT_RATIO = 1e4
+# Taylor coefficients of int_0^X sin^4(x) dx / X^5 in powers of X^2, from
+# sin^4 x = 3/8 - cos(2x)/2 + cos(4x)/8: (-1)^k (4^(2k)/8 - 4^k/2) / ((2k+1) (2k)!)
+# for k >= 2; below X = 1/2 the next term is under 1e-17 of the sum
+_SIN4_SERIES = [
+    (-1) ** k * (4.0 ** (2 * k) / 8.0 - 4.0**k / 2.0) / ((2 * k + 1) * math.factorial(2 * k))
+    for k in range(2, 12)
+]
 
 
 class JumpSemantics(enum.Enum):
@@ -101,17 +109,27 @@ def emission_intensity(theta, gamma):
 
 
 def intensity_integral(tau, omega):
-    """Closed form of int_0^tau sin^4(omega*t/2) dt.
+    """int_0^tau sin^4(omega*t/2) dt.
 
     sin^4(x) = 3/8 - cos(2x)/2 + cos(4x)/8 gives the antiderivative
-    3 tau/8 - sin(omega tau)/(2 omega) + sin(2 omega tau)/(16 omega).
+    3 tau/8 - sin(omega tau)/(2 omega) + sin(2 omega tau)/(16 omega), whose
+    terms cancel to a relative error of about 30 eps/(omega tau)^4.  Below
+    omega tau = 1 the Taylor series tau X^4 (1/5 - 2 X^2/21 + ...) in
+    X = omega tau/2 takes its place.
     """
     tau = np.asarray(tau, dtype=float)
-    return (
+    out = (
         3.0 * tau / 8.0
         - np.sin(omega * tau) / (2.0 * omega)
         + np.sin(2.0 * omega * tau) / (16.0 * omega)
     )
+    x = 0.5 * omega * tau
+    small = x < 0.5
+    if small.any():
+        out, x = np.array(out), x[small]
+        out[small] = tau[small] * x**4 * np.polynomial.polynomial.polyval(x * x, _SIN4_SERIES)
+        out = out[()]
+    return out
 
 
 def _waiting_tau(tau, params: ModelParams):

@@ -152,6 +152,9 @@ def scaling_regression(points) -> tuple[float, float]:
 
 def l1_distance(a: DelayDistribution, b: DelayDistribution) -> float:
     """L1 distance between the unit-normalized curves on the union grid."""
+    for name, dist in (("a", a), ("b", b)):
+        if not dist.integral() > 0:
+            raise ValueError(f"curve {name} has zero mass and cannot be normalized")
     grid = np.union1d(a.tau_grid, b.tau_grid)
     an = a.normalized()
     bn = b.normalized()

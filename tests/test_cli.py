@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -117,6 +118,16 @@ class TestBaselineCommand:
         header, rows = data_rows(out)
         assert header == ["tau", "ell_q"]
         assert rows[0, 1] == 0.0
+
+    def test_file_unchanged(self, tmp_path):
+        # sha256 of the README run's --no-timestamp file, recorded when one
+        # 4x4 generator replaced the 2x2 amplitude propagator
+        out = tmp_path / "lq.csv"
+        argv = ["baseline", "--omega", "3.33", "--horizon", "20", "--no-timestamp"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8fe1ae88c6b0c3cae8c49c252063eaf2ce277606842249516f58fa848eb37972"
+        )
 
 
 class TestSweepCommand:

@@ -145,6 +145,24 @@ class TestWaitingTime:
             3 * math.pi / (4 * omega)
         )
 
+    @pytest.mark.parametrize(
+        "omega_tau", [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.99, 1.0, 1.01, 3.0, 10.0]
+    )
+    def test_small_omega_tau_against_quadrature(self, omega_tau):
+        # the closed form cancels as omega*tau -> 0, the series below
+        # omega*tau = 1 does not
+        omega = 0.7
+        tau = omega_tau / omega
+        oracle, _ = quad(
+            lambda t: math.sin(0.5 * omega * t) ** 4, 0, tau, epsabs=0, epsrel=1e-13
+        )
+        assert core.intensity_integral(tau, omega) == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    def test_normalization_in_the_weak_field(self):
+        # over the waiting-time span omega*tau is about (omega/gamma)^(1/5)
+        p = ModelParams(1e-10, 1.0)
+        assert core.waiting_time_normalization(p) == pytest.approx(1.0, abs=1e-12)
+
     def test_normalization(self):
         p = ModelParams(1.7, 1.0)
         assert core.waiting_time_normalization(p) == pytest.approx(1.0, rel=1e-6)

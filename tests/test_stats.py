@@ -187,6 +187,12 @@ class TestDistances:
         b = analytic_distribution(ModelParams(1.0, 1.0), 40.0)
         assert stats.l1_distance(a, b) == pytest.approx(stats.l1_distance(b, a))
 
+    def test_l1_zero_mass_names_argument(self):
+        d = analytic_distribution(ModelParams(3.33, 1.0), 40.0)
+        empty = DelayDistribution([0.0, 1.0], [0.0, 0.0], "baseline")
+        with pytest.raises(ValueError, match="curve b"):
+            stats.l1_distance(d, empty)
+
 
 NUMBERS = st.one_of(st.floats(-1.0, 40.0), st.floats(allow_nan=True, allow_infinity=True))
 # (grid, value) pairs: all in range, so that calls also succeed, or any floats
@@ -200,7 +206,11 @@ ARGUMENTS = {
     "ks_test": ("samples", "cdf"),
     "empirical_delay_distribution": ("samples", "tau_grid"),
     "scaling_regression": ("points",),
+    # "a" alone is also an English word
+    "l1_distance": ("tau_grid", "density", "kind", "curve a"),
 }
+# the other curve of l1_distance: unit mass on [0, 1]
+UNIT = DelayDistribution([0.0, 1.0], [1.0, 1.0])
 
 
 def _non_finite(entry, grid, values, cdf):
@@ -233,6 +243,8 @@ def _outputs(entry, grid, values, kind, cdf):
     dist = DelayDistribution(grid, values, kind)
     if entry == "mean_delay":
         return [stats.mean_delay(dist)]
+    if entry == "l1_distance":
+        return [stats.l1_distance(dist, UNIT)]
     return [dist.tau_grid, dist.density, dist.integral()]
 
 
@@ -257,6 +269,9 @@ class TestInputContracts:
         "analytic",
         1.0,
     )
+    # zero mass: each raised a ValueError naming neither curve
+    @example("l1_distance", [(0, 0.0), (1, 0.0)], "sorted", "baseline", 1)
+    @example("l1_distance", [(0.5, 0.2)], "sorted", "analytic", 1)
     def test_finite_output_or_named_error(self, entry, pairs, order, kind, rate):
         """Finite output, or a ValueError naming a bad argument.
 
