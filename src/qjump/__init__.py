@@ -5,10 +5,8 @@ from .core import (
     ModelParams,
     drift_angle,
     emission_intensity,
-    jump_hazard,
     no_pump_emission_probability,
     no_pump_excited_population,
-    no_pump_final_state,
     reduce_angle,
     waiting_time_cdf,
     waiting_time_density,
@@ -16,7 +14,7 @@ from .core import (
 )
 from .pde import ProbabilityField, ThetaGrid, init_delta, populations, solve, step
 from .mc import Emissions, EmissionTimes
-from .baseline import DensityMatrix2, delay_function, integrate
+from .baseline import delay_function, integrate, steady_state
 from .stats import DelayDistribution, KsReport, ks_test, mean_delay, scaling_regression
 
 __all__ = [name for name in dir() if not name.startswith("_")]

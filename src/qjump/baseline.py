@@ -7,55 +7,28 @@ the gain (recycling) term gives a nonconservative evolution whose trace loss
 rate, gamma*rho_ee, is the delay function: the density of the first emission
 after a reset to the ground state.
 
-One real 4x4 generator, `_generator(params, weight)`, acting on
-(rho_gg, rho_ee, Re rho_ge, Im rho_ge), carries the whole master equation;
-`weight` scales the jump term gamma*rho_ee -> rho_gg (1: full evolution,
-0: truncated).  `integrate` and `delay_function` advance the state by the
-exact step propagator exp(L h), and `steady_state` solves for L's null vector.
+A state is the real 4-vector x = (rho_gg, rho_ee, Re rho_ge, Im rho_ge),
+Hermitian by construction.  One real 4x4 generator, `_generator(params,
+weight)`, carries the master equation; `weight` scales the jump term
+gamma*rho_ee -> rho_gg (1: full, 0: truncated).  `integrate` and
+`delay_function` step x through one loop, `_propagate`, by the exact
+propagator exp(L h); `steady_state` solves for L's null vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
 
 import numpy as np
 
 from .core import ModelParams, time_steps
 from .stats import DelayDistribution
 
-
-@dataclass
-class DensityMatrix2:
-    """2x2 Hermitian density matrix in the (ground, excited) basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if not np.allclose(self.matrix, self.matrix.conj().T, atol=1e-10):
-            raise ValueError("density matrix must be Hermitian")
-
-    @classmethod
-    def ground(cls):
-        return cls(np.diag([1.0, 0.0]).astype(complex))
-
-    @classmethod
-    def excited(cls):
-        return cls(np.diag([0.0, 1.0]).astype(complex))
-
-    @property
-    def rho_gg(self):
-        return self.matrix[0, 0].real
-
-    @property
-    def rho_ee(self):
-        return self.matrix[1, 1].real
-
-    def trace(self):
-        return float(self.matrix.trace().real)
+GROUND = (1.0, 0.0, 0.0, 0.0)
+# most (omega + gamma) * h per step; at this bound _expm's round-off (about the
+# norm times eps) stayed under 6.3e-10 per entry against a 60-digit exp(L h)
+MAX_STEP_NORM = 1e6
 
 
 def _generator(params: ModelParams, weight: float):
@@ -74,12 +47,6 @@ def _generator(params: ModelParams, weight: float):
             [0.5 * om, -0.5 * om, 0.0, -0.5 * g],
         ]
     )
-
-
-def _density_matrix(x) -> DensityMatrix2:
-    gg, ee, re_ge, im_ge = x
-    rho_ge = complex(re_ge, im_ge)
-    return DensityMatrix2(np.array([[gg, rho_ge], [rho_ge.conjugate(), ee]]))
 
 
 def _expm(a):
@@ -101,78 +68,82 @@ def _expm(a):
     return out
 
 
-def integrate(
-    rho0: DensityMatrix2,
-    params: ModelParams,
-    t_end: float,
-    dt: float,
-    truncated: bool = False,
-):
-    """Evolution by the exact step propagator; returns (times, list of DensityMatrix2).
+def _check_step(params: ModelParams, h: float, name: str):
+    if not (params.omega + params.gamma) * h <= MAX_STEP_NORM:
+        raise ValueError(f"{name} under-resolves the evolution: a step of {h} "
+                         f"takes (omega + gamma) * h past {MAX_STEP_NORM:g}")
 
-    Takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps.  Any step is
-    stable, with a trace round-off of about 1e-15 * h * (omega + gamma) each.
+
+def _propagate(generator, x, steps):
+    """States of x' = generator x from x, one row per step: a (len(steps) + 1, 4) array.
+
+    Step h applies the exact propagator exp(generator h), built once per distinct h.
     """
-    n_steps, h = time_steps(t_end, dt)
-    propagator = _expm(_generator(params, 0.0 if truncated else 1.0) * h)
-    m = rho0.matrix
-    x = np.array([m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag])
-    states = [_density_matrix(x)]
-    for _ in range(n_steps):
-        x = propagator @ x
-        states.append(_density_matrix(x))
-    return np.linspace(0.0, t_end, n_steps + 1), states
-
-
-def steady_state(params: ModelParams) -> DensityMatrix2:
-    """Stationary state of the full evolution: L x = 0 with unit trace."""
-    a = np.vstack([_generator(params, 1.0), [1.0, 1.0, 0.0, 0.0]])
-    b = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return _density_matrix(x)
-
-
-def delay_function(params: ModelParams, tau_grid) -> DelayDistribution:
-    """Delay function from the truncated evolution started in the ground state.
-
-    Equal to -d/dtau Tr rho(tau) = gamma * rho_ee(tau), where the truncated
-    state advances from one grid point to the next by the exact step
-    propagator exp(L_0 h), computed once per distinct spacing h.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.ndim != 1 or tau_grid.size < 2:
-        raise ValueError("tau_grid must contain at least two points")
-    # the step generator times the span must stay finite for _expm
-    span_rate = float(tau_grid[-1]) * (params.omega + params.gamma)
-    if not (tau_grid[0] == 0.0 and np.all(np.diff(tau_grid) > 0)
-            and math.isfinite(span_rate)):
-        raise ValueError("tau_grid must start at 0 and increase, with "
-                         "tau_grid[-1] * (omega + gamma) finite")
-
-    generator = _generator(params, 0.0)
     propagators = {}
-    gg, ee, re_ge, im_ge = 1.0, 0.0, 0.0, 0.0
-    excited = np.empty(tau_grid.size)
-    excited[0] = ee
-    for i, h in enumerate(np.diff(tau_grid).tolist(), start=1):
+    gg, ee, re_ge, im_ge = x
+    out = array("d", x)
+    for h in steps:
         p = propagators.get(h)
         if p is None:
             p = propagators[h] = _expm(generator * h).ravel().tolist()
         # unpacked into locals: indexing p sixteen times per step costs more
         p00, p01, p02, p03, p10, p11, p12, p13, p20, p21, p22, p23, p30, p31, p32, p33 = p
-        gg, ee, re_ge, im_ge = (
+        gg, ee, re_ge, im_ge = row = (
             p00 * gg + p01 * ee + p02 * re_ge + p03 * im_ge,
             p10 * gg + p11 * ee + p12 * re_ge + p13 * im_ge,
             p20 * gg + p21 * ee + p22 * re_ge + p23 * im_ge,
             p30 * gg + p31 * ee + p32 * re_ge + p33 * im_ge,
         )
-        excited[i] = ee
+        out.extend(row)
+    return np.frombuffer(out).reshape(-1, 4)
+
+
+def integrate(x0, params: ModelParams, t_end: float, dt: float, truncated: bool = False):
+    """Evolution from the 4-vector x0; returns (times, states), states[k] at times[k].
+
+    Takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps, each exact
+    up to a round-off of about 1e-15 * h * (omega + gamma).
+    """
+    try:
+        x = np.asarray(x0, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or a ragged sequence
+        x = np.empty(0)
+    if x.shape != (4,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be 4 finite numbers, got {x0!r}")
+    n_steps, h = time_steps(t_end, dt)
+    _check_step(params, h, "dt")
+    generator = _generator(params, 0.0 if truncated else 1.0)
+    states = _propagate(generator, x.tolist(), [h] * n_steps)
+    if not np.all(np.isfinite(states)):
+        raise ValueError(f"x0={x0!r} is too large: the states overflow")
+    return np.linspace(0.0, t_end, n_steps + 1), states
+
+
+def steady_state(params: ModelParams):
+    """Stationary 4-vector of the full evolution: L x = 0 with unit trace."""
+    # L scaled to unit max entry, so its rows cannot outweigh the trace row
+    a = np.vstack([_generator(params, 1.0) / max(params.omega, params.gamma),
+                   [1.0, 1.0, 0.0, 0.0]])
+    return np.linalg.lstsq(a, [0.0, 0.0, 0.0, 0.0, 1.0], rcond=None)[0]
+
+
+def delay_function(params: ModelParams, tau_grid) -> DelayDistribution:
+    """Delay function from the truncated evolution started in the ground state.
+
+    Equal to -d/dtau Tr rho(tau) = gamma * rho_ee(tau), with the truncated
+    state stepped from one grid point to the next by exp(L_0 h).
+    """
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid.ndim != 1 or tau_grid.size < 2:
+        raise ValueError("tau_grid must contain at least two points")
+    steps = np.diff(tau_grid)
+    if not (tau_grid[0] == 0.0 and np.all(steps > 0)):
+        raise ValueError("tau_grid must start at 0 and increase")
+    _check_step(params, float(steps.max()), "tau_grid")
+    excited = _propagate(_generator(params, 0.0), GROUND, steps.tolist())[:, 1]
     # rho_ee is |psi_e|^2 >= 0 (the truncated state stays pure), but where it
     # touches 0 the 4x4 step can round it to about -1e-17
     density = params.gamma * np.maximum(excited, 0.0)
-    bad = ~np.isfinite(density)
-    if bad.any():
-        raise ArithmeticError(f"propagator failure at tau={tau_grid[bad.argmax()]}")
     try:
         return DelayDistribution(tau_grid, density, kind="baseline")
     except ValueError as exc:  # trapezoid mass > 1 on an under-resolved grid

@@ -98,13 +98,8 @@ def drift_angle(t, params: ModelParams, theta_start):
     return reduce_angle(theta)
 
 
-def jump_hazard(theta, gamma):
-    """Reset rate gamma*sin^2(theta); lies in [0, gamma]."""
-    return gamma * np.sin(theta) ** 2
-
-
 def emission_intensity(theta, gamma):
-    """Photo-emission rate gamma*sin^4(theta) = jump_hazard * sin^2(theta)."""
+    """Photo-emission rate gamma*sin^4(theta); lies in [0, gamma]."""
     return gamma * np.sin(theta) ** 4
 
 
@@ -240,11 +235,6 @@ def no_pump_excited_population(t, params: ModelParams):
 def no_pump_emission_probability(theta0):
     """Probability that an unpumped atom ever emits a photon: sin^2(theta0)."""
     return math.sin(theta0) ** 2
-
-
-def no_pump_final_state(theta0):
-    """Amplitude moduli (one-photon, zero-photon) of the asymptotic state."""
-    return math.sin(theta0), math.cos(theta0)
 
 
 def _scale(plain, factored, params: ModelParams):

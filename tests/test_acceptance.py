@@ -170,12 +170,10 @@ def test_criterion_8b_panel_b_disagreement_and_scale_tracking():
 def test_criterion_9_lindblad_trace():
     p = ModelParams(3.33, 1.0)
     dt = 0.02
-    _, full = baseline.integrate(baseline.DensityMatrix2.ground(), p, 20.0, dt)
-    worst = max(abs(s.trace() - 1.0) for s in full)
-    _, trunc = baseline.integrate(
-        baseline.DensityMatrix2.ground(), p, 20.0, dt, truncated=True
-    )
-    traces = np.array([s.trace() for s in trunc])
+    _, full = baseline.integrate(baseline.GROUND, p, 20.0, dt)
+    worst = float(np.max(np.abs(full[:, 0] + full[:, 1] - 1.0)))
+    _, trunc = baseline.integrate(baseline.GROUND, p, 20.0, dt, truncated=True)
+    traces = trunc[:, 0] + trunc[:, 1]
     monotone = bool(np.all(np.diff(traces) <= 1e-14))
     report(9, worst < 1e-8 and monotone, f"max |tr-1| {worst:.2e}, monotone {monotone}")
 

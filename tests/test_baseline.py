@@ -3,12 +3,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qjump import baseline
-from qjump.baseline import DensityMatrix2
-from qjump.core import ModelParams
+from qjump.baseline import GROUND
+from qjump.core import MAX_STEPS, ModelParams
 
 
 def closed_form_excited_amplitude(params, tau):
@@ -22,17 +22,6 @@ def closed_form_excited_amplitude(params, tau):
         * np.sinc(lam * tau / np.pi)
         * tau
     )
-
-
-class TestDensityMatrix:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            DensityMatrix2(np.array([[1.0, 0.2], [0.3, 0.0]]))
-
-    def test_constructors(self):
-        assert DensityMatrix2.ground().rho_gg == 1.0
-        assert DensityMatrix2.excited().rho_ee == 1.0
-        assert DensityMatrix2.ground().trace() == pytest.approx(1.0)
 
 
 def complex_lindblad_rhs(rho, params, weight):
@@ -79,23 +68,20 @@ class TestRhs:
 class TestIntegrate:
     def test_no_pump_decay_closed_form(self):
         p = ModelParams(0.0, 1.0)
-        times, states = baseline.integrate(DensityMatrix2.excited(), p, 5.0, 0.02)
+        times, states = baseline.integrate((0.0, 1.0, 0.0, 0.0), p, 5.0, 0.02)
         exact = np.exp(-p.gamma * times)
-        got = np.array([s.rho_ee for s in states])
-        assert np.max(np.abs(got - exact)) < 1e-8
+        assert np.max(np.abs(states[:, 1] - exact)) < 1e-8
 
     def test_trace_conserved(self):
         p = ModelParams(3.33, 1.0)
-        _, states = baseline.integrate(DensityMatrix2.ground(), p, 20.0, 0.02)
-        traces = np.array([s.trace() for s in states])
+        _, states = baseline.integrate(GROUND, p, 20.0, 0.02)
+        traces = states[:, 0] + states[:, 1]
         assert np.max(np.abs(traces - 1.0)) < 1e-8
 
     def test_truncated_trace_nonincreasing(self):
         p = ModelParams(3.33, 1.0)
-        _, states = baseline.integrate(
-            DensityMatrix2.ground(), p, 20.0, 0.02, truncated=True
-        )
-        traces = np.array([s.trace() for s in states])
+        _, states = baseline.integrate(GROUND, p, 20.0, 0.02, truncated=True)
+        traces = states[:, 0] + states[:, 1]
         assert np.all(np.diff(traces) <= 1e-14)
 
     @pytest.mark.parametrize("omega, gamma, dt", [(2.0, 1.0, 0.04), (1.0, 50.0, 0.1)])
@@ -103,42 +89,56 @@ class TestIntegrate:
         # each step is exact, so dt and dt/7 give the same states at common
         # times, also at gamma*dt = 5
         p = ModelParams(omega, gamma)
-        times, coarse = baseline.integrate(DensityMatrix2.ground(), p, 2.0, dt)
-        fine_times, fine = baseline.integrate(DensityMatrix2.ground(), p, 2.0, dt / 7)
+        times, coarse = baseline.integrate(GROUND, p, 2.0, dt)
+        fine_times, fine = baseline.integrate(GROUND, p, 2.0, dt / 7)
         assert fine_times.size == 7 * (times.size - 1) + 1
         assert np.allclose(fine_times[::7], times, rtol=0, atol=1e-14)
-        for a, b in zip(coarse, fine[::7]):
-            assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+        assert np.max(np.abs(coarse - fine[::7])) < 1e-12
 
     def test_truncated_matches_amplitude_closed_form(self):
         p = ModelParams(3.33, 1.0)
-        times, states = baseline.integrate(
-            DensityMatrix2.ground(), p, 15.0, 0.005, truncated=True
-        )
-        got = p.gamma * np.array([s.rho_ee for s in states])
+        times, states = baseline.integrate(GROUND, p, 15.0, 0.005, truncated=True)
+        got = p.gamma * states[:, 1]
         oracle = p.gamma * np.abs(closed_form_excited_amplitude(p, times)) ** 2
         assert np.max(np.abs(got - oracle)) < 1e-12
 
     def test_step_never_exceeds_dt(self):
         # round(1.0 / 0.03) = 33 steps would take h = 0.0303 > dt
         p = ModelParams(1.0, 1.0)
-        times, states = baseline.integrate(DensityMatrix2.ground(), p, 1.0, 0.03)
-        assert len(states) == times.size == 35
+        times, states = baseline.integrate(GROUND, p, 1.0, 0.03)
+        assert states.shape == (times.size, 4) and times.size == 35
         assert times[1] <= 0.03
         assert times[-1] == 1.0
 
     @pytest.mark.parametrize(
-        "name, t_end, dt",
+        "name, x0, t_end, dt",
         [
-            ("t_end", math.nan, 0.01),
-            ("t_end", math.inf, 0.01),
-            ("dt", 1.0, math.nan),
-            pytest.param("t_end", 1e300, 0.01, id="too-many-steps"),
+            pytest.param("t_end", GROUND, math.nan, 0.01, id="t_end-nan-0.01"),
+            pytest.param("t_end", GROUND, math.inf, 0.01, id="t_end-inf-0.01"),
+            pytest.param("dt", GROUND, 1.0, math.nan, id="dt-1.0-nan"),
+            pytest.param("t_end", GROUND, 1e300, 0.01, id="too-many-steps"),
+            pytest.param("x0", (math.nan, 0.0, 0.0, 0.0), 1.0, 0.01, id="x0-nan"),
+            pytest.param("x0", (1.0, 0.0, math.inf, 0.0), 1.0, 0.01, id="x0-inf"),
+            pytest.param("x0", (1.0, 0.0, 0.0), 1.0, 0.01, id="x0-three-numbers"),
+            pytest.param("x0", (*GROUND, 0.0), 1.0, 0.01, id="x0-five-numbers"),
+            pytest.param("x0", "ground", 1.0, 0.01, id="x0-not-numbers"),
+            pytest.param("x0", (1.5e308, 1.5e308, 0.0, 0.0), 1.0, 0.01, id="x0-overflows"),
         ],
     )
-    def test_non_finite_input_names_parameter(self, name, t_end, dt):
+    def test_non_finite_input_names_parameter(self, name, x0, t_end, dt):
         with pytest.raises(ValueError, match=name):
-            baseline.integrate(DensityMatrix2.ground(), ModelParams(1.0, 1.0), t_end, dt)
+            baseline.integrate(x0, ModelParams(1.0, 1.0), t_end, dt)
+
+    @pytest.mark.parametrize(
+        "omega, gamma, t_end",
+        [
+            (1e19, 1.0, 1.0),  # omega*h = 1e19: exp(L h) comes out NaN
+            (1.0, 1e6, 1e4),  # gamma*h = 1e10: one step moves the trace by 4e-6
+        ],
+    )
+    def test_coarse_step_names_dt(self, omega, gamma, t_end):
+        with pytest.raises(ValueError, match=r"\bdt under-resolves"):
+            baseline.integrate(GROUND, ModelParams(omega, gamma), t_end, t_end)
 
 
 class TestSteadyState:
@@ -147,13 +147,13 @@ class TestSteadyState:
         # oracle: the stationary Bloch equations solved by hand
         p = ModelParams(ratio, 1.0)
         exact = p.omega**2 / (p.gamma**2 + 2.0 * p.omega**2)
-        assert baseline.steady_state(p).rho_ee == pytest.approx(exact, abs=1e-12)
+        assert baseline.steady_state(p)[1] == pytest.approx(exact, abs=1e-12)
         dt = 0.05 / max(p.omega, p.gamma)
-        _, states = baseline.integrate(DensityMatrix2.ground(), p, 60.0, dt)
-        assert states[-1].rho_ee == pytest.approx(exact, abs=1e-10)
+        _, states = baseline.integrate(GROUND, p, 60.0, dt)
+        assert states[-1, 1] == pytest.approx(exact, abs=1e-10)
 
     def test_saturation_limit(self):
-        assert baseline.steady_state(ModelParams(100.0, 1.0)).rho_ee == pytest.approx(
+        assert baseline.steady_state(ModelParams(100.0, 1.0))[1] == pytest.approx(
             0.5, abs=1e-4
         )
 
@@ -236,12 +236,12 @@ class TestDelayFunction:
 @settings(max_examples=200, deadline=None)
 @given(
     end=st.floats(allow_nan=True, allow_infinity=True),
-    omega=st.floats(0.0, 1e3),
-    gamma=st.floats(1e-3, 1e3),
+    omega=st.floats(0.0, 1e300),
+    gamma=st.floats(1e-300, 1e300),
 )
 def test_delay_function_finite_or_names_tau_grid(end, omega, gamma):
     p = ModelParams(omega, gamma)
-    ok = end > 0 and math.isfinite(end * (omega + gamma))
+    ok = end > 0 and end * (omega + gamma) <= baseline.MAX_STEP_NORM
     try:
         density = baseline.delay_function(p, [0.0, end]).density
     except ValueError as exc:
@@ -252,12 +252,68 @@ def test_delay_function_finite_or_names_tau_grid(end, omega, gamma):
     assert ok and np.all(np.isfinite(density))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    x0=st.lists(st.floats(), min_size=3, max_size=5),
+    t_end=st.floats(allow_nan=True, allow_infinity=True),
+    dt=st.floats(allow_nan=True, allow_infinity=True),
+    omega=st.floats(0.0, 1e300),
+    gamma=st.floats(1e-300, 1e300),
+    truncated=st.booleans(),
+)
+def test_integrate_finite_or_names_parameter(x0, t_end, dt, omega, gamma, truncated):
+    # runs of more than 1e4 steps only take time here; the too-many-steps
+    # row of TestIntegrate covers the step cap
+    assume(not (dt > 0 and 1e4 * dt < t_end <= MAX_STEPS * dt))
+    p = ModelParams(omega, gamma)
+    try:
+        times, states = baseline.integrate(x0, p, t_end, dt, truncated)
+    except ValueError as exc:
+        assert re.search(r"\b(x0|t_end|dt)\b", str(exc)), exc
+        return
+    assert np.all(np.isfinite(times)) and np.all(np.isfinite(states))
+    assert states.shape == (times.size, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    omega=st.floats(0.0, 1e300),
+    gamma=st.floats(1e-300, 1e300),
+)
+def test_steady_state_unit_trace(omega, gamma):
+    # oracle: the stationary Bloch equations solved by hand, in omega and
+    # gamma scaled by their maximum so that no square overflows
+    x = baseline.steady_state(ModelParams(omega, gamma))
+    w, g = omega / max(omega, gamma), gamma / max(omega, gamma)
+    assert np.all(np.isfinite(x))
+    assert x[0] + x[1] == pytest.approx(1.0, abs=1e-12)
+    assert x[1] == pytest.approx(w * w / (g * g + 2.0 * w * w), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "omega, gamma, end",
+    [
+        (1e16, 1.0, 1.0),  # omega*h = 1e16: rho_ee comes out at 1.69
+        (1e20, 1.0, 1.0),  # omega*h = 1e20: exp(L h) overflows
+        (1.0, 1e6, 1e4),  # gamma*h = 1e10: rho_ee off by 4e-7 of itself in one step
+    ],
+)
+def test_coarse_step_names_tau_grid(omega, gamma, end):
+    with pytest.raises(ValueError, match=r"\btau_grid under-resolves the evolution"):
+        baseline.delay_function(ModelParams(omega, gamma), [0.0, end])
+
+
 def test_nan_grid_point_names_tau_grid():
     with pytest.raises(ValueError, match="tau_grid"):
         baseline.delay_function(ModelParams(3.33, 1.0), [0.0, math.nan])
 
 
 def test_coarse_grid_names_tau_grid():
-    # two points 3e32 apart: the trapezoid mass of the curve exceeds 1
+    # two points 3e32 apart: one step takes (omega + gamma) h to 3e32
     with pytest.raises(ValueError, match="tau_grid under-resolves"):
         baseline.delay_function(ModelParams(7.97e-17, 1.0), [0.0, 3.15e32])
+    # a point near the first peak, then one 9/gamma later: the trapezoid
+    # mass of the curve exceeds 1
+    with pytest.raises(ValueError, match="tau_grid under-resolves the delay function"):
+        baseline.delay_function(ModelParams(3.33, 1.0), [0.0, 1.0, 10.0])

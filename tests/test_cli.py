@@ -129,6 +129,21 @@ class TestBaselineCommand:
             "8fe1ae88c6b0c3cae8c49c252063eaf2ce277606842249516f58fa848eb37972"
         )
 
+    def test_fig1_files_unchanged(self, tmp_path):
+        # sha256 of both panel files of the README's fig1 run, --no-timestamp,
+        # recorded before integrate and delay_function shared one stepping
+        # loop; panel b is the overdamped case
+        argv = ["fig1", "--panel", "both", "--no-timestamp"]
+        assert cli.main([*argv, "--out", str(tmp_path / "fig1.csv")]) == 0
+        digests = {
+            panel: hashlib.sha256((tmp_path / f"fig1_{panel}.csv").read_bytes()).hexdigest()
+            for panel in "ab"
+        }
+        assert digests == {
+            "a": "25cb26602a398bc3580229c7b09f7472b9508ff1c1bc5d8efd31ef4ffcb96d57",
+            "b": "86031e61e74dc5db7ebbf8105eb8f924baa1cdc6dfb1691c6998208b11a1a6ae",
+        }
+
 
 class TestSweepCommand:
     def test_json_exponent(self, tmp_path):

@@ -85,29 +85,18 @@ class TestDrift:
 
 class TestIntensities:
     def test_ground_state_never_jumps(self):
-        assert core.jump_hazard(0.0, 1.0) == 0.0
         assert core.emission_intensity(0.0, 1.0) == 0.0
 
     def test_fully_excited(self):
-        assert core.jump_hazard(HALF_PI - 1e-9, 2.0) == pytest.approx(2.0)
         assert core.emission_intensity(HALF_PI - 1e-9, 3.0) == pytest.approx(3.0)
 
     def test_values_at_quarter_pi(self):
-        assert core.jump_hazard(math.pi / 4, 2.0) == pytest.approx(1.0)
         assert core.emission_intensity(math.pi / 4, 1.0) == pytest.approx(0.25)
 
     @given(angles, st.floats(1e-3, 1e3))
     def test_ordering(self, theta, gamma):
         em = core.emission_intensity(theta, gamma)
-        hz = core.jump_hazard(theta, gamma)
-        assert 0.0 <= em <= hz <= gamma
-
-    @given(angles, st.floats(1e-3, 1e3))
-    def test_emission_is_hazard_times_sin2(self, theta, gamma):
-        hz = core.jump_hazard(theta, gamma)
-        assert core.emission_intensity(theta, gamma) == pytest.approx(
-            hz * math.sin(theta) ** 2, rel=1e-12, abs=1e-300
-        )
+        assert 0.0 <= em <= gamma
 
 
 class TestWaitingTime:
@@ -249,18 +238,6 @@ class TestNoPump:
         assert core.no_pump_emission_probability(HALF_PI - 1e-9) == pytest.approx(1.0)
         assert core.no_pump_emission_probability(math.pi / 4) == pytest.approx(0.5)
         assert core.no_pump_emission_probability(0.0) == 0.0
-
-    def test_final_state(self):
-        assert core.no_pump_final_state(0.0) == pytest.approx((0.0, 1.0))
-        a1, a0 = core.no_pump_final_state(math.pi / 6)
-        assert a1 == pytest.approx(0.5)
-        assert a0 == pytest.approx(math.sqrt(3) / 2)
-        assert a1**2 + a0**2 == pytest.approx(1.0)
-
-    @given(st.floats(-HALF_PI, HALF_PI, exclude_max=True))
-    def test_final_state_normalized(self, theta0):
-        a1, a0 = core.no_pump_final_state(theta0)
-        assert a1**2 + a0**2 == pytest.approx(1.0)
 
 
 class TestDelayScales:
