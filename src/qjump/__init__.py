@@ -12,7 +12,7 @@ from .core import (
     waiting_time_density,
     weak_field_delay_scale,
 )
-from .pde import ProbabilityField, ThetaGrid, init_delta, populations, solve, step
+from .pde import ProbabilityField, ThetaGrid, solve
 from .mc import Emissions, EmissionTimes
 from .baseline import delay_function, integrate, steady_state
 from .stats import DelayDistribution, KsReport, ks_test, mean_delay, scaling_regression

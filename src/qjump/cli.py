@@ -240,6 +240,8 @@ def _run_duality(ns):
         )
         hist = mc.histogram_from_angles(angles, grid)
         l1.append(float(np.sum(np.abs(hist.values - reference)) * grid.cell_width))
+    if not all(x > 0.0 for x in l1):  # log 0 has no slope
+        raise ValueError(f"horizon={ns.horizon} is too short for a slope: an L1 distance is 0")
     slope = float(np.polyfit(np.log(ns.sizes), np.log(l1), 1)[0])
     columns = {"ensemble_size": np.asarray(ns.sizes, float), "l1_distance": l1}
     return columns, {"slope": slope}

@@ -241,14 +241,16 @@ def _scale(plain, factored, params: ModelParams):
     """plain(), or the same power factored where plain() is not finite and nonzero.
 
     A power of omega alone under- or overflows before the product with gamma
-    does; an overflowing float ** raises OverflowError rather than giving inf.
+    does; an overflowing float ** raises OverflowError rather than giving inf,
+    and a numpy scalar gives inf or 0 with a warning, which errstate silences.
     """
-    try:
-        value = plain()
-    except (OverflowError, ZeroDivisionError):
-        value = 0.0
-    if not 0.0 < value < math.inf:
-        value = factored()
+    with np.errstate(all="ignore"):
+        try:
+            value = plain()
+        except (OverflowError, ZeroDivisionError):
+            value = 0.0
+        if not 0.0 < value < math.inf:
+            value = factored()
     if not value < math.inf:
         raise ValueError(
             f"omega={params.omega}, gamma={params.gamma} give a delay scale past the float range"

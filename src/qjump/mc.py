@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import JumpSemantics, ModelParams, reduce_angle
+from .core import MAX_STEPS, JumpSemantics, ModelParams, reduce_angle
 from .pde import ProbabilityField, ThetaGrid
 
 BLOCK = 4096  # trajectories per RNG stream
@@ -77,11 +77,6 @@ class Emissions:
         bounds = self.offsets.tolist()
         for a, b in zip(bounds[:-1], bounds[1:]):
             yield EmissionTimes(self.times[a:b], self.t_end)
-
-
-def _check_horizon(horizon, name="horizon"):
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {horizon}")
 
 
 def _lane_starts(buf, counts, ids, t, stop, horizon, lanes):
@@ -153,12 +148,22 @@ def _kernel(params, semantics, horizon, rng, n):
     return np.copysign(t, times)[keep], np.bincount(owner[keep], minlength=n), theta
 
 
-def _run_ensemble(params, semantics, horizon, seed, n):
-    """(times, counts, theta) of n trajectories, BLOCK per stream."""
+def _run_ensemble(params, semantics, horizon, seed, n, name="horizon"):
+    """(times, counts, theta) of n trajectories, BLOCK per stream.
+
+    About gamma * horizon * n candidates are drawn, at most MAX_STEPS."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {horizon}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    # Python floats: a numpy product that overflows would warn
+    if not float(params.gamma) * float(horizon) <= MAX_STEPS / n:
+        raise ValueError(
+            f"gamma*{name}*n must be at most {MAX_STEPS} candidate events: "
+            f"gamma={params.gamma}, {name}={horizon}, n={n}"
+        )
     rngs = [np.random.default_rng((seed, b)) for b in range(-(-n // BLOCK))]
     sizes = [min(BLOCK, n - b * BLOCK) for b in range(len(rngs))]
     parts = [_kernel(params, semantics, horizon, *pair) for pair in zip(rngs, sizes)]
@@ -169,7 +174,6 @@ def ensemble_records(
     params: ModelParams, semantics: JumpSemantics, horizon: float, seed: int, n: int
 ) -> Emissions:
     """Emission table of n trajectories with block-keyed seeded streams."""
-    _check_horizon(horizon)
     times, counts, _ = _run_ensemble(params, semantics, horizon, seed, n)
     return Emissions(times, np.concatenate([[0], np.cumsum(counts)]), horizon)
 
@@ -178,8 +182,7 @@ def ensemble_theta_at(
     params: ModelParams, semantics: JumpSemantics, t: float, seed: int, n: int
 ) -> np.ndarray:
     """Angles of n independent trajectories sampled at time t."""
-    _check_horizon(t, "t")
-    return _run_ensemble(params, semantics, t, seed, n)[2]
+    return _run_ensemble(params, semantics, t, seed, n, "t")[2]
 
 
 def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:

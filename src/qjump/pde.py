@@ -47,8 +47,8 @@ MAX_BLOCK_CELLS = 1024
 class ThetaGrid:
     """Uniform periodic grid of n_cells cells covering [-pi/2, pi/2).
 
-    The step, the populations and the population rate read its tables at the
-    cell centers: sin2 = sin^2, sin4 = sin^4 and sin_2theta = sin(2 theta).
+    The step, the solve and the population rate read its tables at the cell
+    centers: sin2 = sin^2, sin4 = sin^4 and sin_2theta = sin(2 theta).
     """
 
     n_cells: int = DEFAULT_N_CELLS
@@ -104,30 +104,6 @@ class ProbabilityField:
         view = cls.__new__(cls)
         view.grid, view.values, view.time = grid, values, time
         return view
-
-    def total_mass(self):
-        return float(np.sum(self.values) * self.grid.cell_width)
-
-
-def init_delta(grid: ThetaGrid, theta0: float) -> ProbabilityField:
-    """Unit mass deposited at theta0.
-
-    The mass is split linearly between the two cells whose centers bracket
-    theta0 so that the deposited first moment matches theta0 exactly; a
-    single-cell spike would bias the represented angle by up to half a cell.
-    """
-    if not math.isfinite(theta0):
-        raise ValueError(f"theta0 must be finite, got {theta0}")
-    theta0 = reduce_angle(theta0)
-    dx = grid.cell_width
-    # position in units of cells, measured from the center of cell 0
-    x = (theta0 - grid.centers[0]) / dx
-    j = int(np.floor(x))
-    w_hi = x - j
-    values = np.zeros(grid.n_cells)
-    values[j % grid.n_cells] += (1.0 - w_hi) / dx
-    values[(j + 1) % grid.n_cells] += w_hi / dx
-    return ProbabilityField(grid, values, 0.0)
 
 
 def max_stable_dt(params: ModelParams, grid: ThetaGrid):
@@ -188,21 +164,6 @@ class StepOperator:
     def matrix(self):
         """A as a dense n x n array (column j is the stencil applied to e_j)."""
         return self.apply(np.eye(self.grid.n_cells)).T
-
-
-def step(field: ProbabilityField, params: ModelParams, dt: float) -> ProbabilityField:
-    """Advance the field by one time step of size dt."""
-    values = StepOperator(params, field.grid, dt).apply(field.values)
-    return ProbabilityField(field.grid, values, field.time + dt)
-
-
-def populations(field: ProbabilityField):
-    """(rho0, rho1): ground and excited populations of the field."""
-    dx = field.grid.cell_width
-    s2 = field.grid.sin2
-    rho1 = float(np.sum(field.values * s2) * dx)
-    rho0 = float(np.sum(field.values * (1.0 - s2)) * dx)
-    return rho0, rho1
 
 
 def population_rate(field: ProbabilityField, params: ModelParams):

@@ -156,6 +156,15 @@ class TestSweepCommand:
         doc = json.loads(out.read_text())
         assert doc["fit_exponent"] == pytest.approx(-0.2, abs=0.05)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_omega_runs_without_warnings(self, tmp_path):
+        # np.geomspace hands the delay scales numpy gammas, which warn on 0 division
+        out = tmp_path / "sweep.json"
+        rc = cli.main(["sweep", "--omega", "1e-300", "--format", "json", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert all(0.0 < x < math.inf for x in doc["tau_q"] + doc["tau_k"])
+
 
 class TestFig1Command:
     def test_panel_a(self, tmp_path):
@@ -281,6 +290,8 @@ def test_unused_model_flags_rejected(tmp_path, argv):
         (["baseline", "--n", "0"], "--n"),
         (["fig1", "--n", "0"], "--n"),
         (["duality", "--sizes", "0", "80"], "sizes"),
+        (["mc", "--horizon", "1e300"], "horizon"),
+        (["duality", "--horizon", "1e-9"], "horizon"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -331,6 +331,25 @@ class TestInputContracts:
         ok = math.log(gamma) - 2.0 * math.log(omega) < math.log(sys.float_info.max)
         assert_finite_or_names(lambda: core.dressed_delay_scale(p), ok, "omega")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "omega, gamma", [(1e-300, 4e-300), (1e200, 1e200), (1e-200, 1e300), (1e-300, 1.0)]
+    )
+    @pytest.mark.parametrize("scale", [core.weak_field_delay_scale, core.dressed_delay_scale])
+    def test_delay_scales_of_numpy_scalars(self, scale, omega, gamma):
+        # a numpy scalar warns where a Python float raises; the results must agree
+
+        def run(p):
+            try:
+                return scale(p)
+            except ValueError as e:
+                assert re.search(r"\bomega\b", str(e)), e
+                return "refused"
+
+        want = run(ModelParams(omega, gamma))
+        assert run(ModelParams(np.float64(omega), np.float64(gamma))) == want
+        assert run(ModelParams(omega, np.float64(gamma))) == want
+
     def test_cases_that_once_failed(self):
         p = ModelParams(3.33, 1.0)
         with pytest.raises(ValueError, match="tau"):

@@ -32,3 +32,17 @@ def test_runtime_dependencies_are_numpy_alone():
         deps = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
     assert names == {"numpy"}
+
+
+def test_public_surface_is_pinned():
+    # a new public name is a decision: add it here with the code
+    import qjump
+
+    assert sorted(qjump.__all__) == [
+        "DelayDistribution", "EmissionTimes", "Emissions", "JumpSemantics", "KsReport",
+        "ModelParams", "ProbabilityField", "ThetaGrid", "baseline", "core",
+        "delay_function", "drift_angle", "emission_intensity", "integrate", "ks_test",
+        "mc", "mean_delay", "no_pump_emission_probability", "no_pump_excited_population",
+        "pde", "reduce_angle", "scaling_regression", "solve", "stats", "steady_state",
+        "waiting_time_cdf", "waiting_time_density", "weak_field_delay_scale",
+    ]

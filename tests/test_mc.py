@@ -59,8 +59,10 @@ class TestEnsembleInputs:
         semantics=st.sampled_from([LITERAL, EMISSION]),
         omega=st.sampled_from([0.0, 0.5, 3.33]),
         theta0=st.sampled_from([0.0, 0.7]),
+        # 1e8 and 1e300 put gamma * horizon * n past MAX_STEPS
         horizon=st.one_of(
-            st.floats(-5.0, 20.0), st.sampled_from([math.nan, math.inf, -math.inf])
+            st.floats(-5.0, 20.0),
+            st.sampled_from([math.nan, math.inf, -math.inf, 1e8, 1e300]),
         ),
         seed=st.one_of(st.integers(-3, 2**64), st.floats(-2.0, 2.0)),
         n=st.integers(1, 40),
@@ -71,7 +73,7 @@ class TestEnsembleInputs:
         p = ModelParams(omega, 1.0, theta0)
         time_name = "t" if entry == "ensemble_theta_at" else "horizon"
         bad = set()
-        if not (math.isfinite(horizon) and horizon > 0):
+        if not 0 < p.gamma * horizon * n <= core.MAX_STEPS:
             bad.add(time_name)
         if not (isinstance(seed, int) and seed >= 0):
             bad.add("seed")
@@ -251,7 +253,7 @@ class TestHistograms:
         grid = pde.ThetaGrid(64)
         theta = mc.ensemble_theta_at(p, LITERAL, 1.0, 0, 1)
         h = mc.histogram_from_angles(theta, grid)
-        assert h.total_mass() == pytest.approx(1.0)
+        assert h.values.sum() * grid.cell_width == pytest.approx(1.0)
         peak = grid.cell_of(core.drift_angle(1.0, p, 0.0))
         assert h.values[peak] > 0
 

@@ -16,6 +16,17 @@ def l1(a, b, grid):
     return float(np.sum(np.abs(a - b)) * grid.cell_width)
 
 
+def mass(values, grid):
+    return float(values.sum() * grid.cell_width)
+
+
+def spike(grid, theta):
+    """Unit mass in the cell of theta, the cell solve deposits a point mass in."""
+    values = np.zeros(grid.n_cells)
+    values[grid.cell_of(theta)] = 1.0 / grid.cell_width
+    return values
+
+
 class TestGrid:
     def test_rejects_small_grids(self):
         with pytest.raises(ValueError):
@@ -82,36 +93,19 @@ class TestField:
         assert ProbabilityField(ThetaGrid(64), values).values[3] == values[3]
 
     def test_equality_is_identity(self):
-        f = pde.init_delta(ThetaGrid(64), 0.3)
+        g = ThetaGrid(64)
+        f = ProbabilityField(g, spike(g, 0.3))
         assert (f == ProbabilityField(f.grid, f.values.copy(), f.time)) is False
         assert (f == f) is True
-
-
-class TestInitDelta:
-    def test_unit_mass(self):
-        f = pde.init_delta(ThetaGrid(64), 0.0)
-        assert f.total_mass() == pytest.approx(1.0)
-        assert np.count_nonzero(f.values) <= 2
-
-    def test_excited_pure_state(self):
-        f = pde.init_delta(ThetaGrid(256), math.pi / 2 - 1e-6)
-        _, rho1 = pde.populations(f)
-        assert rho1 == pytest.approx(1.0, abs=1e-3)
-
-    def test_moment_matches_theta0(self):
-        g = ThetaGrid(64)
-        f = pde.init_delta(g, 0.4)
-        assert np.sum(f.values * g.centers) * g.cell_width == pytest.approx(0.4)
 
 
 class TestStep:
     def test_rejects_unstable_dt(self):
         g = ThetaGrid(64)
-        f = pde.init_delta(g, 0.0)
         with pytest.raises(ValueError):
-            pde.step(f, ModelParams(100.0, 1.0), 1.0)
+            pde.StepOperator(ModelParams(100.0, 1.0), g, 1.0)
         with pytest.raises(ValueError):
-            pde.step(f, ModelParams(0.0, 100.0), 1.0)
+            pde.StepOperator(ModelParams(0.0, 100.0), g, 1.0)
 
     def test_pure_advection_returns_to_translate(self):
         # gamma ~ 0: transport only; with unit Courant number the upwind
@@ -119,11 +113,11 @@ class TestStep:
         # by exactly half the cells
         g = ThetaGrid(64)
         p = ModelParams(2.0, 1e-9)
-        f = pde.init_delta(g, 0.3)
-        dt = g.cell_width / (0.5 * p.omega)
+        values = spike(g, 0.3)
+        op = pde.StepOperator(p, g, g.cell_width / (0.5 * p.omega))
         for _ in range(g.n_cells // 2):
-            f = pde.step(f, p, dt)
-        assert l1(f.values, np.roll(pde.init_delta(g, 0.3).values, 32), g) < 1e-6
+            values = op.apply(values)
+        assert l1(values, np.roll(spike(g, 0.3), 32), g) < 1e-6
 
     def test_unit_courant_is_exact_shift(self):
         # survival exp(-gamma sin^2 dt) rounds to 1, so the step is transport
@@ -138,20 +132,20 @@ class TestStep:
         assert np.array_equal(op.apply(values), np.roll(values, 1))
         batch = np.stack([values, values[::-1]])
         assert np.array_equal(op.apply(batch), np.roll(batch, 1, axis=-1))
-        f = ProbabilityField(g, values)
+        state = values
         for k in range(1, g.n_cells + 1):
-            f = pde.step(f, p, dt)
-            assert np.array_equal(f.values, np.roll(values, k))
+            state = op.apply(state)
+            assert np.array_equal(state, np.roll(values, k))
 
     def test_mass_conserved_and_positive(self):
         g = ThetaGrid(64)
         p = ModelParams(3.33, 1.0)
-        f = pde.init_delta(g, 0.1)
-        dt = pde.max_stable_dt(p, g)
+        values = spike(g, 0.1)
+        op = pde.StepOperator(p, g, pde.max_stable_dt(p, g))
         for _ in range(200):
-            f = pde.step(f, p, dt)
-        assert f.total_mass() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(f.values >= 0)
+            values = op.apply(values)
+        assert mass(values, g) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(values >= 0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -165,39 +159,18 @@ class TestStep:
             raw[0] = 1.0
         g = ThetaGrid(32)
         values = np.asarray(raw) / (sum(raw) * g.cell_width)
-        f = ProbabilityField(g, values)
         p = ModelParams(omega, gamma)
-        dt = pde.max_stable_dt(p, g)
+        op = pde.StepOperator(p, g, pde.max_stable_dt(p, g))
         for _ in range(5):
-            f = pde.step(f, p, dt)
-        assert f.total_mass() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(f.values >= 0)
+            values = op.apply(values)
+        assert mass(values, g) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(values >= 0)
 
     def test_max_stable_dt_with_subnormal_omega(self):
         # 0.5 * omega underflows to 0; the gamma bound must still apply
         g = ThetaGrid(32)
         p = ModelParams(5e-324, 2.0)
         assert pde.max_stable_dt(p, g) == pde.MAX_GAMMA_DT / p.gamma
-
-
-class TestPopulations:
-    def test_delta_at_quarter_pi(self):
-        f = pde.init_delta(ThetaGrid(256), math.pi / 4)
-        rho0, rho1 = pde.populations(f)
-        assert rho1 == pytest.approx(0.5, abs=1e-4)
-        assert rho0 == pytest.approx(0.5, abs=1e-4)
-
-    def test_uniform_field(self):
-        g = ThetaGrid(64)
-        f = ProbabilityField(g, np.full(64, 1 / math.pi))
-        rho0, rho1 = pde.populations(f)
-        assert rho0 == pytest.approx(0.5, abs=1e-12)
-        assert rho1 == pytest.approx(0.5, abs=1e-12)
-
-    def test_delta_at_zero(self):
-        rho0, rho1 = pde.populations(pde.init_delta(ThetaGrid(256), 0.0))
-        assert rho1 == pytest.approx(0.0, abs=1e-3)
-        assert rho0 + rho1 == pytest.approx(1.0, abs=1e-12)
 
 
 def _oracle_rate(values, grid, p):
@@ -207,25 +180,28 @@ def _oracle_rate(values, grid, p):
     return np.sum(values * integrand) * grid.cell_width
 
 
+def _spike_rate(theta, p):
+    """population_rate of a unit spike in the cell of theta on 256 cells, and
+    the rate omega/2 sin(2 c) - gamma sin^4(c) at that cell's center c."""
+    g = ThetaGrid(256)
+    c = g.centers[g.cell_of(theta)]
+    got = pde.population_rate(ProbabilityField(g, spike(g, theta)), p)
+    return got, 0.5 * p.omega * math.sin(2.0 * c) - p.gamma * math.sin(c) ** 4
+
+
 class TestPopulationRate:
     def test_delta_at_zero_is_stationary(self):
-        f = pde.init_delta(ThetaGrid(256), 0.0)
-        assert pde.population_rate(f, ModelParams(1.0, 1.0)) == pytest.approx(
-            0.0, abs=1e-3
-        )
+        # the spike sits at the center dx/2 of the source cell, not at 0
+        got, want = _spike_rate(0.0, ModelParams(1.0, 1.0))
+        assert got == pytest.approx(want, abs=1e-3)
 
     def test_pure_drive_at_quarter_pi(self):
-        f = pde.init_delta(ThetaGrid(256), math.pi / 4)
-        assert pde.population_rate(f, ModelParams(2.0, 1e-12)) == pytest.approx(
-            1.0, abs=1e-3
-        )
+        got, want = _spike_rate(math.pi / 4, ModelParams(2.0, 1e-12))
+        assert got == pytest.approx(want, abs=1e-3)
 
     def test_no_pump_rate(self):
-        theta0 = 0.6
-        f = pde.init_delta(ThetaGrid(256), theta0)
-        assert pde.population_rate(f, ModelParams(0.0, 2.0)) == pytest.approx(
-            -2.0 * math.sin(theta0) ** 4, abs=1e-3
-        )
+        got, want = _spike_rate(0.6, ModelParams(0.0, 2.0))
+        assert got == pytest.approx(want, abs=1e-3)
 
     @pytest.mark.parametrize("n", [16, 64, 257, 1024])
     @pytest.mark.parametrize(
@@ -254,7 +230,7 @@ class TestSolve:
         g = ThetaGrid(128)
         r = pde.solve(p, g, 10.0, pde.max_stable_dt(p, g), snapshot_stride=50)
         for snap in r.snapshots:
-            assert snap.total_mass() == pytest.approx(1.0, abs=1e-10)
+            assert mass(snap.values, g) == pytest.approx(1.0, abs=1e-10)
 
     def test_rate_identity_rho0_plus_rho1(self):
         p = ModelParams(3.33, 1.0)
@@ -303,9 +279,6 @@ class TestSolve:
     def test_non_finite_input_names_parameter(self, name, t_end, dt, theta0):
         with pytest.raises(ValueError, match=name):
             pde.solve(ModelParams(1.0, 1.0, theta0), ThetaGrid(64), t_end, dt)
-        if theta0 != 0.0:
-            with pytest.raises(ValueError, match="theta0"):
-                pde.init_delta(ThetaGrid(64), theta0)
 
     @pytest.mark.parametrize("stride", [2.5, 2.0, math.nan, math.inf, "3", 0, -1])
     def test_rejects_bad_snapshot_stride(self, stride):
@@ -355,7 +328,7 @@ class TestSolve:
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_step_rejects_non_finite_dt(self, dt):
         with pytest.raises(ValueError, match="dt"):
-            pde.step(pde.init_delta(ThetaGrid(64), 0.0), ModelParams(1.0, 1.0), dt)
+            pde.StepOperator(ModelParams(1.0, 1.0), ThetaGrid(64), dt)
 
     @pytest.mark.parametrize(
         "t_end, dt, n_steps",
@@ -402,24 +375,25 @@ def _oracle_hazard(theta, dt, p):
 
 
 def stencil_reference(p, grid, times, stride):
-    """The solve one pde.step at a time, with the point mass as a scalar recursion."""
+    """The solve one StepOperator.apply at a time, with the point mass as a scalar recursion."""
     dt, dx = times[1], grid.cell_width
     s2 = np.sin(grid.centers) ** 2
-    field, m = ProbabilityField(grid, np.zeros(grid.n_cells)), 1.0
+    op = pde.StepOperator(p, grid, dt)
+    values, m = np.zeros(grid.n_cells), 1.0
     rho0, rho1, snapshots = [], [], []
     for k, t in enumerate(times):
         theta = p.theta0 + 0.5 * p.omega * t
-        rho1.append(np.sum(field.values * s2) * dx + m * math.sin(theta) ** 2)
-        rho0.append(np.sum(field.values * (1.0 - s2)) * dx + m * math.cos(theta) ** 2)
+        rho1.append(np.sum(values * s2) * dx + m * math.sin(theta) ** 2)
+        rho0.append(np.sum(values * (1.0 - s2)) * dx + m * math.cos(theta) ** 2)
         if k % stride == 0 or k == times.size - 1:
-            snap = field.values.copy()
+            snap = values.copy()
             if m > 0.0:
                 snap[grid.cell_of(theta)] += m / dx
             snapshots.append(snap)
         if k < times.size - 1:
-            field = pde.step(field, p, dt)
+            values = op.apply(values)
             m_new = m * math.exp(-_oracle_hazard(theta, dt, p))
-            field.values[grid.source_index] += (m - m_new) / dx
+            values[grid.source_index] += (m - m_new) / dx
             m = m_new
     return np.array(rho0), np.array(rho1), snapshots
 
