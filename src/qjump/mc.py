@@ -148,12 +148,12 @@ def _kernel(params, semantics, horizon, rng, n):
     return np.copysign(t, times)[keep], np.bincount(owner[keep], minlength=n), theta
 
 
-def _run_ensemble(params, semantics, horizon, seed, n, name="horizon"):
+def _run_ensemble(params, semantics, horizon, seed, n):
     """(times, counts, theta) of n trajectories, BLOCK per stream.
 
     About gamma * horizon * n candidates are drawn, at most MAX_STEPS."""
     if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {horizon}")
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -161,8 +161,8 @@ def _run_ensemble(params, semantics, horizon, seed, n, name="horizon"):
     # Python floats: a numpy product that overflows would warn
     if not float(params.gamma) * float(horizon) <= MAX_STEPS / n:
         raise ValueError(
-            f"gamma*{name}*n must be at most {MAX_STEPS} candidate events: "
-            f"gamma={params.gamma}, {name}={horizon}, n={n}"
+            f"gamma*horizon*n must be at most {MAX_STEPS} candidate events: "
+            f"gamma={params.gamma}, horizon={horizon}, n={n}"
         )
     rngs = [np.random.default_rng((seed, b)) for b in range(-(-n // BLOCK))]
     sizes = [min(BLOCK, n - b * BLOCK) for b in range(len(rngs))]
@@ -179,10 +179,10 @@ def ensemble_records(
 
 
 def ensemble_theta_at(
-    params: ModelParams, semantics: JumpSemantics, t: float, seed: int, n: int
+    params: ModelParams, semantics: JumpSemantics, horizon: float, seed: int, n: int
 ) -> np.ndarray:
-    """Angles of n independent trajectories sampled at time t."""
-    return _run_ensemble(params, semantics, t, seed, n, "t")[2]
+    """Angles of n independent trajectories sampled at the horizon."""
+    return _run_ensemble(params, semantics, horizon, seed, n)[2]
 
 
 def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:

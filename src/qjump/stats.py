@@ -34,6 +34,8 @@ class DelayDistribution:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.tau_grid.ndim != 1 or self.tau_grid.shape != self.density.shape:
             raise ValueError("tau_grid and density must be matching 1-d arrays")
+        if self.tau_grid.size < 2:
+            raise ValueError("tau_grid must hold at least two points")
         steps = np.diff(self.tau_grid)
         if not np.all((steps > 0) & (steps < np.inf)):
             raise ValueError("tau_grid must be strictly increasing in finite steps")
@@ -43,8 +45,6 @@ class DelayDistribution:
             raise ValueError("density mass exceeds 1")
 
     def integral(self):
-        if self.tau_grid.size < 2:
-            return 0.0
         return float(np.trapezoid(self.density, self.tau_grid))
 
     def normalized(self):
@@ -93,8 +93,6 @@ def ks_test(samples, cdf) -> KsReport:
 
 def mean_delay(dist: DelayDistribution) -> float:
     """Trapezoidal mean of the distribution over its grid."""
-    if dist.tau_grid.size < 2:
-        raise ValueError("mean_delay needs a tau_grid of at least two points")
     mass = dist.integral()
     if mass <= 0:
         raise ValueError("density has no mass")
@@ -117,8 +115,8 @@ def empirical_delay_distribution(samples, tau_grid) -> DelayDistribution:
     samples = _finite("samples", samples)
     # DelayDistribution's checks of the grid
     tau_grid = DelayDistribution(tau_grid, np.zeros(np.shape(tau_grid))).tau_grid
-    if samples.size == 0 or tau_grid.size < 2:
-        raise ValueError("need samples and a tau_grid of at least two points")
+    if samples.size == 0:
+        raise ValueError("samples must not be empty")
     counts, _ = np.histogram(samples, bins=tau_grid)
     with np.errstate(all="ignore"):  # a non-finite result is refused below
         dens_bins = counts / (samples.size * np.diff(tau_grid))

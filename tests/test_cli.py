@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qjump import cli, io
+from qjump import cli, io, pde
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -165,6 +165,16 @@ class TestSweepCommand:
         doc = json.loads(out.read_text())
         assert all(0.0 < x < math.inf for x in doc["tau_q"] + doc["tau_k"])
 
+    def test_weak_field_exponent(self, tmp_path):
+        # Omega/gamma from 1e-13 to 1e-20: the mean follows (Omega^4 gamma)^(-1/5)
+        out = tmp_path / "sweep.json"
+        rc = cli.main(
+            ["sweep", "--omega", "1", "--gamma-min", "1e13", "--gamma-max", "1e20",
+             "--format", "json", "--out", str(out)]
+        )
+        assert rc == 0
+        assert json.loads(out.read_text())["fit_exponent"] == pytest.approx(-0.2, abs=1e-6)
+
 
 class TestFig1Command:
     def test_panel_a(self, tmp_path):
@@ -245,6 +255,15 @@ class TestDualityCommand:
         assert rc == 2
         assert "horizon" in capsys.readouterr().err
 
+    def test_long_horizon_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("pde.solve ran before the horizon was checked")
+
+        monkeypatch.setattr(pde, "solve", solve)
+        rc = cli.main(["duality", "--horizon", "2000", "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert re.search(r"\bhorizon\b", capsys.readouterr().err)
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -292,6 +311,7 @@ def test_unused_model_flags_rejected(tmp_path, argv):
         (["duality", "--sizes", "0", "80"], "sizes"),
         (["mc", "--horizon", "1e300"], "horizon"),
         (["duality", "--horizon", "1e-9"], "horizon"),
+        (["duality", "--horizon", "2000"], "horizon"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

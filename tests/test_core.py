@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -210,6 +211,68 @@ class TestWaitingTimeMoments:
         )
         assert large == pytest.approx(small, rel=1e-10)
 
+    @pytest.mark.parametrize("gamma", [1.0, 1e4])
+    @pytest.mark.parametrize("ratio", [1e-20, 1e-24])
+    def test_weak_field_mean_is_the_weibull_mean(self, ratio, gamma):
+        # as omega -> 0, gamma*I(tau) -> gamma omega^4 tau^5/80: a Weibull law
+        # of shape 5, whose mean is 80^(1/5) Gamma(6/5) (omega^4 gamma)^(-1/5)
+        p = ModelParams(ratio * gamma, gamma)
+        scaled = core.mean_waiting_time(p) * (p.omega**4 * p.gamma) ** 0.2
+        assert scaled == pytest.approx(80.0**0.2 * math.gamma(1.2), rel=1e-8)
+
+
+# sha256 of the float64 bytes of (density, cdf) on a tau grid to three times
+# the cap (8/3)(800/gamma + 1/omega) of the laws' argument, plus 1e6, 1e300
+# and inf, and of (mean, mass, tail cutoff) at MOMENT_RATIOS for gamma = 1
+# and 1e4; recorded before the cap and the tail cutoff shared one formula
+CAP_DIGESTS = {
+    "weak": "aa6701ab41c58ec85c1e6b7630fea4589e676fba4cc07fa0f0d6ebb98194642d",
+    "fig1b": "ebbc8d0a587d817097acc44db164164f4dd0fe781039213ac4da768c74f18f85",
+    "unit": "dae5b8ade8177747b8921872bc318c58ea10e4d220967adba638013fcaa770e3",
+    "fig1a": "d7234c08ed9374b06232f859936c77a4169427e20c471e6a759e03e27f96e2cc",
+    "strong": "34885dd1c1c8fed6dd5bf31c13cfbea00937c1c7d2acc5189ea48ce62a5f3fd7",
+    "strong_g1e4": "4dcb8541410272cdc7fdceb18998d79602f1686c6fdfa87f9a1b4d3d9a40f303",
+    "moments": "590ef17ab05e2cf6c54a681759bc8089d9428c363de97a25542ff5b9be0808ff",
+}
+CAP_PARAMS = {
+    "weak": (1e-3, 1.0),
+    "fig1b": (1.0 / 6.0, 1.0),
+    "unit": (1.0, 1.0),
+    "fig1a": (3.33, 1.0),
+    "strong": (100.0, 1.0),
+    "strong_g1e4": (1e6, 1e4),
+}
+
+
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+class TestClosedFormsUnchanged:
+    @pytest.mark.parametrize("name", list(CAP_PARAMS))
+    def test_laws_across_the_cap(self, name):
+        omega, gamma = CAP_PARAMS[name]
+        p = ModelParams(omega, gamma)
+        span = 8.0 * (800.0 / gamma + 1.0 / omega)
+        tau = np.append(np.linspace(0.0, span, 40_001), [1e6, 1e300, math.inf])
+        digest = sha256_of(core.waiting_time_density(tau, p), core.waiting_time_cdf(tau, p))
+        assert digest == CAP_DIGESTS[name]
+
+    def test_moments(self):
+        values = []
+        for gamma in (1.0, 1e4):
+            for ratio in MOMENT_RATIOS:
+                p = ModelParams(ratio * gamma, gamma)
+                values += [
+                    core.mean_waiting_time(p),
+                    core.waiting_time_normalization(p),
+                    core.waiting_time_tail_cutoff(p),
+                ]
+        assert sha256_of(values) == CAP_DIGESTS["moments"]
+
 
 class TestNoPump:
     def test_initial_value(self):
@@ -308,17 +371,24 @@ class TestInputContracts:
     # the tail cutoff once overflowed to inf, and once made a NaN panel count
     @example(omega=1e-309, gamma=1e-297, moment=core.mean_waiting_time)
     @example(omega=1e-308, gamma=1e-308, moment=core.mean_waiting_time)
+    # refused once by a fixed floor on omega/gamma
+    @example(omega=1e-20, gamma=1.0, moment=core.mean_waiting_time)
     def test_waiting_time_moments(self, omega, gamma, moment):
-        ok = core.MIN_MOMENT_RATIO <= omega / gamma <= core.MAX_MOMENT_RATIO
+        # finite inside [1e-24, 1e4], refused outside [1e-27, 2e4], either
+        # between: the panel count, not a fixed ratio, sets the window
+        ratio = omega / gamma
         call = lambda: moment(ModelParams(omega, gamma))
-        if ok and min(omega, gamma) < 1e-300:
-            # a tail cutoff of order 1/omega + 1/gamma may pass the float range
-            try:
-                assert math.isfinite(call())
-            except ValueError as e:
-                assert re.search(r"\b(omega|gamma)\b", str(e)), e
+        if not (1e-27 < ratio < 2e4) or (
+            min(omega, gamma) >= 1e-300 and 1e-24 <= ratio <= 1e4
+        ):
+            assert_finite_or_names(call, 1e-24 <= ratio <= 1e4, "omega")
             return
-        assert_finite_or_names(call, ok, "omega")
+        # between the two, or a tail cutoff of order 1/omega + 1/gamma that
+        # may pass the float range
+        try:
+            assert math.isfinite(call())
+        except ValueError as e:
+            assert re.search(r"\b(omega|gamma)\b", str(e)), e
 
     @settings(max_examples=200, deadline=None)
     @given(omega=st.floats(1e-300, 1e300), gamma=st.floats(1e-300, 1e300))

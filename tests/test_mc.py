@@ -41,10 +41,9 @@ class TestEnsembleInputs:
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejects_bad_horizon(self, horizon):
         p = ModelParams(2.0, 1.0)
-        with pytest.raises(ValueError, match="horizon"):
-            mc.ensemble_records(p, LITERAL, horizon, 0, 4)
-        with pytest.raises(ValueError, match=r"\bt\b"):
-            mc.ensemble_theta_at(p, LITERAL, horizon, 0, 4)
+        for ensemble in (mc.ensemble_records, mc.ensemble_theta_at):
+            with pytest.raises(ValueError, match=r"\bhorizon\b"):
+                ensemble(p, LITERAL, horizon, 0, 4)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, "7"])
     def test_rejects_bad_seed(self, seed):
@@ -71,10 +70,9 @@ class TestEnsembleInputs:
         self, entry, semantics, omega, theta0, horizon, seed, n
     ):
         p = ModelParams(omega, 1.0, theta0)
-        time_name = "t" if entry == "ensemble_theta_at" else "horizon"
         bad = set()
         if not 0 < p.gamma * horizon * n <= core.MAX_STEPS:
-            bad.add(time_name)
+            bad.add("horizon")
         if not (isinstance(seed, int) and seed >= 0):
             bad.add("seed")
         try:

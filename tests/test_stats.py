@@ -107,9 +107,8 @@ class TestMeanDelay:
         assert stats.mean_delay(d) == pytest.approx(1 / gamma, rel=1e-3)
 
     def test_degenerate_grid_errors(self):
-        d = DelayDistribution(np.array([1.0]), np.array([0.5]), "baseline")
-        with pytest.raises(ValueError):
-            stats.mean_delay(d)
+        with pytest.raises(ValueError, match=r"\btau_grid\b"):
+            DelayDistribution(np.array([1.0]), np.array([0.5]), "baseline")
 
     def test_unnormalized_analytic_rejected(self):
         tau = np.linspace(0, 1, 100)
