@@ -161,6 +161,8 @@ def waiting_time_cdf(tau, params: ModelParams):
 
 def waiting_time_tail_cutoff(params: ModelParams, mass_tol=1e-12):
     """Time T such that the density mass beyond T, exp(-gamma*I(T)), is below mass_tol."""
+    if not 0.0 < mass_tol < 1.0:  # NaN fails too
+        raise ValueError(f"mass_tol must be in (0, 1), got {mass_tol}")
     cutoff = _secular_time(params, -math.log(mass_tol))
     if not cutoff < math.inf:
         raise ValueError(

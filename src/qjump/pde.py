@@ -13,8 +13,12 @@ holds it and applies it as a stencil.  `solve` starts from a point mass at
 params.theta0 and ends exactly at t_end.  Its snapshots are the rows of one
 table, checked once and handed out as `ProbabilityField` views.  Between
 snapshots it advances blocks of B steps by dense powers of A, B chosen from
-the snapshot stride, the step count and the grid size; a solve with a
-snapshot every step, or too short for the powers to pay, runs the stencil.
+the snapshot stride, the step count and the grid size.  A solve with a
+snapshot every step is a fill, a linear form of ParaExp-style time
+parallelism (Gander and Guettel, SIAM J. Sci. Comput. 35, C123 (2013)):
+dense powers give the state at every B-th step, and B - 1 stencil steps over
+the stack of those block starts give every state in between.  A solve too
+short for the powers to pay runs the stencil one state at a time.
 """
 
 from __future__ import annotations
@@ -30,14 +34,17 @@ from .core import HALF_PI, ModelParams, reduce_angle, time_steps
 DEFAULT_N_CELLS = 256
 DEFAULT_CFL = 0.5
 MAX_GAMMA_DT = 0.1
-# Block-size cost model, in dense multiply-adds (about 0.04 ns each with a
-# single-threaded BLAS): one stencil step, a handful of numpy calls, costs
-# about STENCIL_COST of them, and a matrix-vector product about MATVEC_COST
-# per element.  A block is at most MAX_BLOCK steps, because its convolution
-# grows as B^2, and runs on at most MAX_BLOCK_CELLS cells, which keeps the
-# few dense n x n powers it holds under 8 MB each.
-STENCIL_COST = 500_000
+# Block-size cost model, in dense multiply-adds (about 0.05 ns each with a
+# single-threaded BLAS; the fit is in BENCH_pde_fill.json): one stencil step, a
+# handful of numpy calls, costs about STENCIL_COST of them (12.5 us), a
+# matrix-vector product about MATVEC_COST per element, and a stencil step over
+# a stack of states CELL_COST per cell on top of a stencil step's calls.  A
+# block is at most MAX_BLOCK steps, because its convolution grows as B^2, and
+# runs on at most MAX_BLOCK_CELLS cells, which keeps the few dense n x n
+# powers it holds under 8 MB each.
+STENCIL_COST = 250_000
 MATVEC_COST = 5
+CELL_COST = 150
 MAX_BLOCK = 1024
 MAX_BLOCK_CELLS = 1024
 
@@ -203,27 +210,37 @@ def _hazard_integrals(angle, dt, params: ModelParams):
 def _block_size(n_steps, stride, n_cells):
     """Steps per dense block, or 1 to run the stencil step by step.
 
-    Blocks end on every snapshot, so none is longer than the gap between
-    snapshots; a gap is split into equal blocks of at most b steps for each
-    power of two b up to MAX_BLOCK, and the size whose estimated cost is
-    lowest wins.  The set-up costs about log2(B) + 2 dense n x n products (the
-    squarings of A and the powers the block lengths need) and B n^2 for each
-    of the two block tables; each block costs a few numpy calls plus
-    matrix-vector products over n^2 + 2 B n + B^2 elements.
+    Each power of two b up to MAX_BLOCK is priced, and the size with the
+    lowest estimated cost wins.  With a snapshot every stride > 1 steps,
+    blocks end on every snapshot, and each gap between snapshots is split
+    into equal blocks of at most b steps.  With a snapshot every step (stride
+    1, the fill) the blocks are b steps each, the last one shorter.
+
+    The set-up costs about log2(B) + 2 dense n x n products (the squarings
+    of A and the powers the block lengths need), each with about two stencil
+    steps of numpy calls, and B n^2 for each of the two block tables.  Each
+    block costs a stencil step of numpy calls plus matrix-vector products
+    over n^2 + 2 B n + B^2 elements, or over n^2 in the fill.  Each of the
+    fill's B - 1 steps over the stack of block starts costs a stencil step
+    plus CELL_COST per cell, n_steps n cells in all.
     """
-    gap = min(stride, n_steps)
-    full, last = divmod(n_steps, stride)
     best, best_cost = 1, n_steps * STENCIL_COST
     if n_cells > MAX_BLOCK_CELLS:
         return best
+    fill = stride == 1
+    gap = n_steps if fill else min(stride, n_steps)
+    full, last = divmod(n_steps, stride)
     b = 1
     while b < min(gap, MAX_BLOCK):
         b *= 2
-        size = -(-gap // -(-gap // b))
-        n_blocks = full * -(-stride // size) + -(-last // size)
-        setup = (math.log2(size) + 2) * n_cells**3 + 2 * size * n_cells**2
-        per_block = STENCIL_COST / 2 + MATVEC_COST * (n_cells + size) ** 2
-        cost = setup + n_blocks * per_block
+        size = b if fill else -(-gap // -(-gap // b))
+        cost = (math.log2(size) + 2) * (n_cells**3 + 2 * STENCIL_COST) + 2 * size * n_cells**2
+        if fill:
+            cost += n_steps // size * (STENCIL_COST + MATVEC_COST * n_cells**2)
+            cost += (size - 1) * STENCIL_COST + n_steps * n_cells * CELL_COST
+        else:
+            n_blocks = full * -(-stride // size) + -(-last // size)
+            cost += n_blocks * (STENCIL_COST + MATVEC_COST * (n_cells + size) ** 2)
         if cost < best_cost:
             best, best_cost = size, cost
     return best
@@ -238,6 +255,32 @@ def _stencil(op: StepOperator, table, forcing, s2, stride, out):
         out[k - 1] = s2.dot(values)
         values = op.apply(values, out=rows[-(-k // stride)])
         values[source] += f
+
+
+def _fill(op: StepOperator, table, forcing, s2, size, out):
+    """Every state from table[0], the state at step 0, into table[k] for step k.
+
+    The block starts table[::size] come first, each from the one before by
+    A^size and the forcing its block adds (as in _blocks).  Then size - 1
+    stencil steps advance the stack of every block's start at once, and step
+    j writes the states at steps j, size + j, ...; out[k] gets s2 . state for
+    every step k before the last.
+    """
+    n_steps = forcing.size
+    source = op.grid.source_index
+    full = n_steps // size
+    _, states, powers = _block_tables(op.matrix(), s2, source, size, {size})
+    starts = table[::size]
+    pushed = forcing[: full * size].reshape(full, size)[:, ::-1] @ states
+    for b in range(full):
+        starts[b + 1] = powers[size] @ starts[b] + pushed[b]
+    stack = starts[: -(-n_steps // size)].copy()
+    for j in range(1, size):
+        f = forcing[j - 1 :: size]
+        stack = op.apply(stack[: f.size], out=stack[: f.size])
+        stack[:, source] += f
+        table[j::size] = stack
+    np.matmul(table[:-1], s2, out=out[:-1])
 
 
 def _block_tables(a, s2, source, size, lengths):
@@ -340,6 +383,8 @@ def solve(
     table = np.zeros((steps.size, grid.n_cells))
     if size == 1:
         _stencil(op, table, forcing, s2, snapshot_stride, grid_rho1)
+    elif snapshot_stride == 1:
+        _fill(op, table, forcing, s2, size, grid_rho1)
     else:
         _blocks(op, table, forcing, s2, snapshot_stride, size, grid_rho1)
     grid_rho1[n_steps] = s2 @ table[-1]

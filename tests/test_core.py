@@ -123,6 +123,15 @@ class TestWaitingTime:
         with pytest.raises(ValueError):
             core.waiting_time_density(-1.0, ModelParams(1.0, 1.0))
 
+    @pytest.mark.parametrize("mass_tol", [0.0, -1.0, 1.0, 1e10, math.nan, math.inf, -math.inf])
+    def test_tail_cutoff_rejects_mass_tol_outside_unit_interval(self, mass_tol):
+        with pytest.raises(ValueError, match="mass_tol"):
+            core.waiting_time_tail_cutoff(ModelParams(3.33, 1.0), mass_tol=mass_tol)
+
+    @pytest.mark.parametrize("mass_tol", [5e-324, 1e-12, 0.5, np.nextafter(1.0, 0.0)])
+    def test_tail_cutoff_is_positive_inside_unit_interval(self, mass_tol):
+        assert 0.0 < core.waiting_time_tail_cutoff(ModelParams(3.33, 1.0), mass_tol=mass_tol)
+
     @pytest.mark.parametrize("omega", [0.4, 1.7, 6.2])
     def test_closed_form_antiderivative_against_quadrature(self, omega):
         # oracle: adaptive quadrature of sin^4(omega t / 2)

@@ -398,46 +398,107 @@ def stencil_reference(p, grid, times, stride):
     return np.array(rho0), np.array(rho1), snapshots
 
 
+def path(n_steps, stride, n_cells):
+    """The way solve advances: the stencil, strided blocks, or the stride-1 fill."""
+    if pde._block_size(n_steps, stride, n_cells) == 1:
+        return "stencil"
+    return "fill" if stride == 1 else "blocks"
+
+
+def solve_case(omega, theta0, n_cells, n_steps, stride):
+    """A solve of n_steps at gamma = 0.5 and dt = max_stable_dt, or one cell
+    width at omega = 2, where a step drifts exactly one cell."""
+    p = ModelParams(omega, 0.5, theta0)
+    g = ThetaGrid(n_cells)
+    dt = g.cell_width if omega == 2.0 else pde.max_stable_dt(p, g)
+    r = pde.solve(p, g, n_steps * dt, dt, snapshot_stride=stride)
+    assert r.times.size == n_steps + 1
+    if omega == 2.0:
+        assert pde.StepOperator(p, g, r.times[1]).courant == 1.0
+    return r, p, g
+
+
+def assert_matches_stencil(r, p, g, stride):
+    """r against stencil_reference: rho to 1e-12, each snapshot to 1e-12 in L1 per cell."""
+    rho0, rho1, snapshots = stencil_reference(p, g, r.times, stride)
+    assert np.max(np.abs(r.rho0 - rho0)) < 1e-12
+    assert np.max(np.abs(r.rho1 - rho1)) < 1e-12
+    assert len(r.snapshots) == len(snapshots)
+    for got, want in zip(r.snapshots, snapshots):
+        assert np.max(np.abs(got.values - want)) * g.cell_width < 1e-12
+
+
+def case(*args, path):
+    """A parameter set whose id is its arguments alone, as pytest would write it."""
+    return pytest.param(*args, path, id="-".join(map(str, args)))
+
+
 class TestBlockPropagation:
     """Blocks of dense powers of A must reproduce the stencil step by step."""
 
     @pytest.mark.parametrize(
-        "omega, theta0, n_cells, n_steps, stride",
+        "omega, theta0, n_cells, n_steps, stride, want_path",
         [
-            (0.0, math.pi / 4, 64, 300, 10),  # no transport
-            (2.0, 0.3, 64, 600, 37),  # Courant number exactly 1
-            (3.33, 0.0, 64, 1000, 300),  # stride divides neither
-            (3.33, 0.2, 64, 200, 1),  # every state kept: the stencil
-            (1.0, 0.4, 16, 3000, 3000),
-            (3.33, -0.7, 257, 2000, 400),
-            (1.0 / 6.0, 1.2, 512, 4000, 4000),
+            case(0.0, math.pi / 4, 64, 300, 10, path="blocks"),  # no transport
+            case(2.0, 0.3, 64, 600, 37, path="blocks"),  # Courant number exactly 1
+            case(3.33, 0.0, 64, 1000, 300, path="blocks"),  # stride divides neither
+            case(3.33, 0.2, 64, 200, 1, path="fill"),  # every state kept
+            case(1.0, 0.4, 16, 3000, 3000, path="blocks"),
+            case(3.33, -0.7, 257, 2000, 400, path="blocks"),
+            # 512^3 products cost more than 4000 stencil steps
+            case(1.0 / 6.0, 1.2, 512, 4000, 4000, path="stencil"),
         ],
     )
-    def test_matches_stencil(self, omega, theta0, n_cells, n_steps, stride):
-        p = ModelParams(omega, 0.5, theta0)
-        g = ThetaGrid(n_cells)
-        # at omega = 2 a step of one cell width drifts exactly one cell
-        dt = g.cell_width if omega == 2.0 else pde.max_stable_dt(p, g)
-        r = pde.solve(p, g, n_steps * dt, dt, snapshot_stride=stride)
-        assert r.times.size == n_steps + 1
-        # the blocks run whenever states are skipped; stride 1 keeps the stencil
-        assert (pde._block_size(n_steps, stride, n_cells) > 1) == (stride > 1)
-        if omega == 2.0:
-            assert pde.StepOperator(p, g, r.times[1]).courant == 1.0
-        rho0, rho1, snapshots = stencil_reference(p, g, r.times, stride)
-        assert np.max(np.abs(r.rho0 - rho0)) < 1e-12
-        assert np.max(np.abs(r.rho1 - rho1)) < 1e-12
-        assert len(r.snapshots) == len(snapshots)
-        for got, want in zip(r.snapshots, snapshots):
-            assert np.max(np.abs(got.values - want)) * g.cell_width < 1e-12
+    def test_matches_stencil(self, omega, theta0, n_cells, n_steps, stride, want_path):
+        assert path(n_steps, stride, n_cells) == want_path
+        r, p, g = solve_case(omega, theta0, n_cells, n_steps, stride)
+        assert_matches_stencil(r, p, g, stride)
+
+    @pytest.mark.parametrize(
+        "omega, theta0, n_cells, n_steps, stride, size",
+        [
+            (3.33, 0.2, 64, 256, 1, 16),  # the last row is a block start
+            (3.33, 0.2, 64, 250, 1, 16),  # a last block of 10 steps
+            (2.0, 0.3, 64, 600, 1, 32),  # Courant number exactly 1
+            (0.0, math.pi / 4, 64, 300, 1, 8),  # no transport
+            (1.0, 0.4, 16, 3000, 1, 64),
+            (1.0 / 6.0, 1.2, 512, 1000, 1, 16),
+            (3.33, -0.7, 257, 2000, 1, 128),
+            (1.0 / 6.0, 1.2, 512, 4000, 4000, 32),  # blocks the model no longer picks
+        ],
+    )
+    def test_block_size_matches_stencil(
+        self, monkeypatch, omega, theta0, n_cells, n_steps, stride, size
+    ):
+        # the fill and the blocks at a size set here, whatever the cost model picks
+        monkeypatch.setattr(pde, "_block_size", lambda *args: size)
+        r, p, g = solve_case(omega, theta0, n_cells, n_steps, stride)
+        assert_matches_stencil(r, p, g, stride)
+
+    @pytest.mark.parametrize(
+        "n_steps, n_cells, want_path",
+        [
+            (100, 256, "stencil"),  # no_pump: too short for the powers
+            (204, 64, "fill"),  # the refinement ladder: 3.0 at omega = 3.33
+            (815, 256, "fill"),
+            (1629, 512, "stencil"),
+            (20_000, 256, "fill"),
+            (20_000, 2048, "stencil"),  # past MAX_BLOCK_CELLS
+        ],
+    )
+    def test_stride_one_path(self, n_steps, n_cells, want_path):
+        assert path(n_steps, 1, n_cells) == want_path
 
 
 # sha256 of the float64 bytes of a solve's (times, rho0, rho1, stacked
 # snapshot values, snapshot times), of StepOperator.matrix(), and of
 # --no-timestamp CLI files, recorded while the solver still built and checked
-# each snapshot on its own
+# each snapshot on its own.  The two runs on the fill were recorded on it;
+# stencil_stride1 differs from its stencil run (digest 00142e45...) by at most
+# 3.4e-16 in rho and 4.5e-16 in L1 per snapshot
 PDE_DIGESTS = {
-    "stencil_stride1": "00142e45e3d6e9e5bca6f9ded366618a63d495d5123551499b0b18693f724707",
+    "stencil_stride1": "18eecaa54dedbbce1f6ae9226a3a8d80bae1fcd9915247878bd3f16ac6b1514a",
+    "fill": "3eb798ab3b9f33a29af959acbe04f88c5e91184faad90896d1a8aaee1dcd24ee",
     "stencil_stride7": "00863d10a947c7a0b4f6fc70225d2982685d565403ab299e3d916338c1b59c73",
     "blocks": "9ebd6efaea3a73020d4ea0bc888dca1ba341b2f5191ba2783bcc75a05eca2aa9",
     "no_pump": "357adbbb3d962692a143b1216b8330d6631c844c8d228a95b4563bf483b3af1b",
@@ -454,6 +515,15 @@ SOLVE_RUNS = {
     "stencil_stride7": (ModelParams(3.33, 1.0, 0.3), 256, 150, 7),
     "blocks": (ModelParams(3.33, 1.0, -0.7), 128, 2000, 400),
     "no_pump": (ModelParams(0.0, 1.0, math.pi / 4), 256, 10.0, None),
+    "fill": (ModelParams(3.33, 1.0, -0.7), 128, 1000, 1),
+}
+# the path each run takes; a cost model that moves one shows here first
+SOLVE_PATHS = {
+    "stencil_stride1": "fill",
+    "stencil_stride7": "stencil",
+    "blocks": "blocks",
+    "no_pump": "stencil",
+    "fill": "fill",
 }
 # (params, dt) on a 64-cell grid: Courant number 0, strictly between 0 and 1,
 # and 1 (dt=None: one cell width at omega = 2)
@@ -481,19 +551,28 @@ def step_operator(name):
     return pde.StepOperator(p, g, g.cell_width if dt is None else dt)
 
 
+def solve_run(name):
+    """The solve SOLVE_RUNS[name] with its grid, params and snapshot stride."""
+    p, n_cells, t_end, stride = SOLVE_RUNS[name]
+    g = ThetaGrid(n_cells)
+    dt = pde.max_stable_dt(p, g)
+    r = pde.solve(p, g, t_end * dt if isinstance(t_end, int) else t_end, dt, stride)
+    return r, g, p, stride or max(1, (r.times.size - 1) // 100)
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("name", list(SOLVE_RUNS))
     def test_solve_unchanged(self, name):
-        p, n_cells, t_end, stride = SOLVE_RUNS[name]
-        g = ThetaGrid(n_cells)
-        dt = pde.max_stable_dt(p, g)
-        r = pde.solve(p, g, t_end * dt if isinstance(t_end, int) else t_end, dt, stride)
-        n_steps = r.times.size - 1
-        blocks = pde._block_size(n_steps, stride or max(1, n_steps // 100), n_cells) > 1
-        assert blocks == (name == "blocks")
+        r, g, _, stride = solve_run(name)
+        assert path(r.times.size - 1, stride, g.n_cells) == SOLVE_PATHS[name]
         values = np.stack([s.values for s in r.snapshots])
         times = np.array([s.time for s in r.snapshots])
         assert sha256_of(r.times, r.rho0, r.rho1, values, times) == PDE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(SOLVE_RUNS))
+    def test_solve_matches_stencil(self, name):
+        r, g, p, stride = solve_run(name)
+        assert_matches_stencil(r, p, g, stride)
 
     @pytest.mark.parametrize("name", list(STEP_OPERATORS))
     def test_matrix_unchanged(self, name):
@@ -547,7 +626,9 @@ class TestSnapshotTable:
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("stride", [1, 37])
     def test_table_is_checked_once(self, monkeypatch, bad, stride):
-        # a step that spoils the state must still fail the solve's one check
+        # a step that spoils the state must still fail the solve's one check,
+        # on the fill (stride 1) and on the blocks
+        assert path(600, stride, 64) == ("fill" if stride == 1 else "blocks")
         apply = pde.StepOperator.apply
 
         def spoiled(self, values, out=None):
