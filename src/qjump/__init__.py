@@ -5,7 +5,6 @@ from .core import (
     ModelParams,
     drift_angle,
     emission_intensity,
-    no_pump_emission_probability,
     no_pump_excited_population,
     reduce_angle,
     waiting_time_cdf,

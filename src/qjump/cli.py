@@ -155,8 +155,7 @@ def _run_mc(ns):
 
 def _run_baseline(ns):
     params = _params(ns)
-    panel = "a" if params.omega >= params.gamma else "b"
-    tau = _tau_grid(ns, lambda: FIG1_SPANS[panel] / params.gamma)
+    tau = _tau_grid(ns, lambda: baseline.delay_tail_cutoff(params))
     dist = baseline.delay_function(params, tau)
     return {"tau": dist.tau_grid, "ell_q": dist.density}, {}
 

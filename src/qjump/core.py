@@ -200,19 +200,20 @@ def _tail_panels(params: ModelParams):
         yield nodes, np.tile(weights, left.size)
 
 
+def _panel_sum(params: ModelParams, integrand):
+    """Sum of w * integrand(t) over _tail_panels; np.sum's order, unlike a BLAS
+    dot's, does not depend on the thread count, so neither do the bits."""
+    return sum(float(np.sum(w * integrand(t))) for t, w in _tail_panels(params))
+
+
 def waiting_time_normalization(params: ModelParams):
     """Mass of the waiting-time density on [0, T], by Gauss-Legendre panels."""
-    return sum(
-        float(w @ waiting_time_density(t, params)) for t, w in _tail_panels(params)
-    )
+    return _panel_sum(params, lambda t: waiting_time_density(t, params))
 
 
 def mean_waiting_time(params: ModelParams):
     """Mean inter-emission delay, by Gauss-Legendre panels of tau*density."""
-    return sum(
-        float(w @ (t * waiting_time_density(t, params)))
-        for t, w in _tail_panels(params)
-    )
+    return _panel_sum(params, lambda t: t * waiting_time_density(t, params))
 
 
 def no_pump_excited_population(t, params: ModelParams):
@@ -224,25 +225,15 @@ def no_pump_excited_population(t, params: ModelParams):
     return s2 * np.exp(-params.gamma * s2 * t)
 
 
-def no_pump_emission_probability(theta0):
-    """Probability that an unpumped atom ever emits a photon: sin^2(theta0)."""
-    return math.sin(theta0) ** 2
+def _delay_scale(params: ModelParams, name, scale):
+    """scale(omega, gamma) in Python floats, refused past the float range.
 
-
-def _scale(plain, factored, params: ModelParams):
-    """plain(), or the same power factored where plain() is not finite and nonzero.
-
-    A power of omega alone under- or overflows before the product with gamma
-    does; an overflowing float ** raises OverflowError rather than giving inf,
-    and a numpy scalar gives inf or 0 with a warning, which errstate silences.
+    Each scale is factored so that a factor leaves the float range only where
+    the scale does, and then Python floats give inf or 0 without a warning.
     """
-    with np.errstate(all="ignore"):
-        try:
-            value = plain()
-        except (OverflowError, ZeroDivisionError):
-            value = 0.0
-        if not 0.0 < value < math.inf:
-            value = factored()
+    if params.omega <= 0:
+        raise ValueError(f"{name} requires omega > 0")
+    value = scale(float(params.omega), float(params.gamma))
     if not value < math.inf:
         raise ValueError(
             f"omega={params.omega}, gamma={params.gamma} give a delay scale past the float range"
@@ -251,22 +242,10 @@ def _scale(plain, factored, params: ModelParams):
 
 
 def weak_field_delay_scale(params: ModelParams):
-    """Weak-field mean-delay scale (omega^4 * gamma)^(-1/5)."""
-    if params.omega <= 0:
-        raise ValueError("weak_field_delay_scale requires omega > 0")
-    return _scale(
-        lambda: (params.omega**4 * params.gamma) ** (-0.2),
-        lambda: params.omega ** (-0.8) * params.gamma ** (-0.2),
-        params,
-    )
+    """Weak-field mean-delay scale (omega^4 * gamma)^(-1/5), as omega^(-4/5) * gamma^(-1/5)."""
+    return _delay_scale(params, "weak_field_delay_scale", lambda om, g: om**-0.8 * g**-0.2)
 
 
 def dressed_delay_scale(params: ModelParams):
-    """Dressed-atom delay scale gamma/omega^2, for comparison output."""
-    if params.omega <= 0:
-        raise ValueError("dressed_delay_scale requires omega > 0")
-    return _scale(
-        lambda: params.gamma / params.omega**2,
-        lambda: params.gamma / params.omega / params.omega,
-        params,
-    )
+    """Dressed-atom delay scale gamma/omega^2, as gamma/omega/omega, for comparison output."""
+    return _delay_scale(params, "dressed_delay_scale", lambda om, g: g / om / om)

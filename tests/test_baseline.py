@@ -224,6 +224,21 @@ class TestDelayFunction:
         assert np.all(d.density >= 0)
         assert d.integral() <= 1.0
 
+    @pytest.mark.parametrize("ratio", [1e-3, 0.05, 1.0, 100.0])
+    def test_tail_cutoff_leaves_1e_9_of_the_mass(self, ratio):
+        # the trace the truncated evolution keeps at T is the mass past T
+        p = ModelParams(ratio * 2.0, 2.0)
+        T = baseline.delay_tail_cutoff(p)
+        _, states = baseline.integrate(GROUND, p, T, T / 100, truncated=True)
+        assert 0.5e-9 < states[-1, 0] + states[-1, 1] < 2e-9
+
+    @pytest.mark.parametrize("omega", [0.0, 1e-200])
+    def test_tail_cutoff_without_decay_names_omega(self, omega):
+        # an undriven atom never leaves the ground state, so its trace never
+        # decays; at omega = 1e-200 the rate omega^2/gamma underflows to 0
+        with pytest.raises(ValueError, match=r"omega=.*gamma="):
+            baseline.delay_tail_cutoff(ModelParams(omega, 1.0))
+
     def test_rejects_bad_grid(self):
         p = ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qjump import cli, io, pde
+from qjump import baseline, cli, io, pde
+from qjump.core import ModelParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -119,6 +120,17 @@ class TestBaselineCommand:
         assert header == ["tau", "ell_q"]
         assert rows[0, 1] == 0.0
 
+    @pytest.mark.parametrize("omega", [0.001, 0.05])
+    def test_default_span_holds_the_mass(self, tmp_path, omega):
+        # the default span follows the model's slowest decay; fig1's fixed
+        # span of 600/gamma once held 0.06 % of the mass at omega = 0.001
+        out = tmp_path / "lq.csv"
+        assert cli.main(["baseline", "--omega", str(omega), "--out", str(out)]) == 0
+        _, rows = data_rows(out)
+        tau, ell = rows[:, 0], rows[:, 1]
+        assert tau[-1] == baseline.delay_tail_cutoff(ModelParams(omega, 1.0))
+        assert np.sum(0.5 * (ell[1:] + ell[:-1]) * np.diff(tau)) > 0.99
+
     def test_file_unchanged(self, tmp_path):
         # sha256 of the README run's --no-timestamp file, recorded when one
         # 4x4 generator replaced the 2x2 amplitude propagator
@@ -132,7 +144,9 @@ class TestBaselineCommand:
     def test_fig1_files_unchanged(self, tmp_path):
         # sha256 of both panel files of the README's fig1 run, --no-timestamp,
         # recorded before integrate and delay_function shared one stepping
-        # loop; panel b is the overdamped case
+        # loop; panel b is the overdamped case.  Panel a was re-recorded when
+        # the moments' panel sums left the BLAS dot: its mean_kolmogorov moved
+        # by 1.6e-16 relative
         argv = ["fig1", "--panel", "both", "--no-timestamp"]
         assert cli.main([*argv, "--out", str(tmp_path / "fig1.csv")]) == 0
         digests = {
@@ -140,7 +154,7 @@ class TestBaselineCommand:
             for panel in "ab"
         }
         assert digests == {
-            "a": "25cb26602a398bc3580229c7b09f7472b9508ff1c1bc5d8efd31ef4ffcb96d57",
+            "a": "a4b9e87a14e64df7af8a79337ec95547d91aed7c51519bde29fa77a760ea1cb2",
             "b": "86031e61e74dc5db7ebbf8105eb8f924baa1cdc6dfb1691c6998208b11a1a6ae",
         }
 
@@ -312,6 +326,7 @@ def test_unused_model_flags_rejected(tmp_path, argv):
         (["mc", "--horizon", "1e300"], "horizon"),
         (["duality", "--horizon", "1e-9"], "horizon"),
         (["duality", "--horizon", "2000"], "horizon"),
+        (["baseline", "--omega", "0"], "omega"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

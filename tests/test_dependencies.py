@@ -42,7 +42,7 @@ def test_public_surface_is_pinned():
         "DelayDistribution", "EmissionTimes", "Emissions", "JumpSemantics", "KsReport",
         "ModelParams", "ProbabilityField", "ThetaGrid", "baseline", "core",
         "delay_function", "drift_angle", "emission_intensity", "integrate", "ks_test",
-        "mc", "mean_delay", "no_pump_emission_probability", "no_pump_excited_population",
+        "mc", "mean_delay", "no_pump_excited_population",
         "pde", "reduce_angle", "scaling_regression", "solve", "stats", "steady_state",
         "waiting_time_cdf", "waiting_time_density", "weak_field_delay_scale",
     ]
