@@ -156,7 +156,13 @@ def _run_mc(ns):
 def _run_baseline(ns):
     params = _params(ns)
     tau = _tau_grid(ns, lambda: baseline.delay_tail_cutoff(params))
-    dist = baseline.delay_function(params, tau)
+    try:
+        dist = baseline.delay_function(params, tau)
+    except ValueError as exc:  # the tau grid is too coarse; name its flags
+        raise ValueError(
+            f"--n={ns.n} points over a span of {tau[-1]:g} under-resolve the delay "
+            f"function: raise --n or give a shorter --horizon ({exc})"
+        ) from None
     return {"tau": dist.tau_grid, "ell_q": dist.density}, {}
 
 
@@ -233,9 +239,10 @@ def _run_duality(ns):
         n: mc.ensemble_theta_at(params, literal, ns.horizon, ns.seed, n)
         for n in sorted(set(ns.sizes), reverse=True)
     }
-    # Courant number as close to 1 as the horizon allows: transport is then
-    # an exact shift, and the PDE error is source/sink error alone
-    n_steps = int(np.ceil(ns.horizon / (grid.cell_width / (0.5 * params.omega))))
+    # Courant number as close to 1 as the horizon and gamma*dt allow: at 1,
+    # transport is an exact shift and the PDE error is source/sink error alone
+    dt = min(grid.cell_width / (0.5 * params.omega), pde.MAX_GAMMA_DT / params.gamma)
+    n_steps = int(np.ceil(ns.horizon / dt))
     reference = pde.solve(
         params, grid, ns.horizon, ns.horizon / n_steps, snapshot_stride=n_steps
     ).final.values

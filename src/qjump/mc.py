@@ -45,7 +45,7 @@ class Emissions:
     A columnar table, in the list layout of the Arrow format: the i-th
     trajectory owns times[offsets[i]:offsets[i+1]].  The times increase
     within a trajectory and may drop across a boundary.  len() is the number
-    of trajectories; indexing and iteration give `EmissionTimes` views.
+    of trajectories; iteration gives each one's `EmissionTimes` view.
     """
 
     def __init__(self, times, offsets, t_end):
@@ -67,11 +67,6 @@ class Emissions:
 
     def __len__(self):
         return self.offsets.size - 1
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]  # negative indices count from the end
-        a, b = self.offsets[i], self.offsets[i + 1]
-        return EmissionTimes(self.times[a:b], self.t_end)
 
     def __iter__(self):
         bounds = self.offsets.tolist()

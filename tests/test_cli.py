@@ -278,6 +278,16 @@ class TestDualityCommand:
         assert rc == 2
         assert re.search(r"\bhorizon\b", capsys.readouterr().err)
 
+    def test_weak_drive_of_fig1_panel_b(self, tmp_path):
+        # at omega/gamma = 1/6 the Courant-1 step would break gamma*dt <= 0.1
+        out = tmp_path / "d.json"
+        omega = repr(cli.FIG1_RATIOS["b"])
+        rc = cli.main(["duality", "--omega", omega, "--format", "json", "--out", str(out)])
+        assert rc == 0
+        l1 = json.loads(out.read_text())["l1_distance"]
+        assert len(l1) == 3 and all(math.isfinite(x) for x in l1)
+        assert l1[0] > l1[1] > l1[2]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -327,6 +337,8 @@ def test_unused_model_flags_rejected(tmp_path, argv):
         (["duality", "--horizon", "1e-9"], "horizon"),
         (["duality", "--horizon", "2000"], "horizon"),
         (["baseline", "--omega", "0"], "omega"),
+        (["baseline", "--omega", "1e-6"], "--n"),
+        (["baseline", "--horizon", "1e9", "--n", "10"], "--horizon"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

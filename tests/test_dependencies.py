@@ -11,10 +11,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_import_loads_no_scipy():
+def _loaded_packages(imports, *packages):
+    """Sorted modules of `packages` that a fresh `import <imports>` loads."""
     code = (
-        "import sys, qjump, qjump.cli; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        f"import sys, {imports}; "
+        f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {packages!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -23,7 +24,15 @@ def test_import_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_packages("qjump, qjump.cli", "scipy") == "[]"
+    # the import cost: the package and its five modules, no more and no fewer
+    assert _loaded_packages("qjump", "qjump") == str(
+        ["qjump", "qjump.baseline", "qjump.core", "qjump.mc", "qjump.pde", "qjump.stats"]
+    )
 
 
 def test_runtime_dependencies_are_numpy_alone():
@@ -32,17 +41,14 @@ def test_runtime_dependencies_are_numpy_alone():
         deps = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
     assert names == {"numpy"}
+    # stats calls np.trapezoid, which numpy added in 2.0
+    floor = re.fullmatch(r"numpy>=(\d+)(?:\.(\d+))?", deps[0].replace(" ", ""))
+    assert floor and (int(floor[1]), int(floor[2] or 0)) >= (2, 0), deps[0]
 
 
 def test_public_surface_is_pinned():
     # a new public name is a decision: add it here with the code
     import qjump
 
-    assert sorted(qjump.__all__) == [
-        "DelayDistribution", "EmissionTimes", "Emissions", "JumpSemantics", "KsReport",
-        "ModelParams", "ProbabilityField", "ThetaGrid", "baseline", "core",
-        "delay_function", "drift_angle", "emission_intensity", "integrate", "ks_test",
-        "mc", "mean_delay", "no_pump_excited_population",
-        "pde", "reduce_angle", "scaling_regression", "solve", "stats", "steady_state",
-        "waiting_time_cdf", "waiting_time_density", "weak_field_delay_scale",
-    ]
+    # each public name is qjump.<module>.<name>, its one name
+    assert qjump.__all__ == ["baseline", "core", "mc", "pde", "stats"]

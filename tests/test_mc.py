@@ -112,10 +112,8 @@ class TestEmissionsTable:
         assert len(em) == 5
         views = [rec.times.tolist() for rec in em]
         assert views == [[], [1.0, 2.0], [], [0.5, 4.0], []]
-        assert [em[i].times.tolist() for i in range(-5, 5)] == views * 2
+        assert all(np.shares_memory(rec.times, em.times) for rec in em if rec.times.size)
         assert all(rec.t_end == 5.0 for rec in em)
-        with pytest.raises(IndexError):
-            em[5]
         assert mc.ever_emitted_fraction(em) == 2 / 5
         assert type(mc.ever_emitted_fraction(em)) is float
 
@@ -129,7 +127,7 @@ class TestEmissionsTable:
     def test_one_trajectory(self):
         em = Emissions([0.25, 3.0], [0, 2], 3.0)
         assert len(em) == 1
-        assert em[0].times.tolist() == [0.25, 3.0]
+        assert [rec.times.tolist() for rec in em] == [[0.25, 3.0]]
         assert np.array_equal(mc.interarrival_samples(em), [2.75])
         assert mc.ever_emitted_fraction(em) == 1.0
 
