@@ -201,8 +201,12 @@ def _fig1_panel(panel: str, ns):
     tau = _tau_grid(ns, lambda: FIG1_SPANS[panel] / ns.gamma)
     try:
         ell_k = stats.DelayDistribution(tau, core.waiting_time_density(tau, params))
-    except ValueError as exc:  # trapezoid mass > 1 on an under-resolved grid
-        raise ValueError(f"n={ns.n} under-resolves panel {panel}: {exc}") from None
+        # a coarse grid misses the peak (mass far below 1) or overshoots it
+        off = abs(ell_k.integral() - 1.0)
+        if not off <= stats.MASS_TOL:
+            raise ValueError(f"ell_K's mass is off 1 by {off:.3g}, more than {stats.MASS_TOL}")
+    except ValueError as exc:
+        raise ValueError(f"--n={ns.n} under-resolves panel {panel}: {exc}") from None
     ell_q = baseline.delay_function(params, tau)
     return (
         {"tau": tau, "ell_kolmogorov": ell_k.density, "ell_baseline": ell_q.density},

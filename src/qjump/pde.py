@@ -11,14 +11,18 @@ At a fixed step the update is one column-stochastic n x n matrix A, a
 Markov-chain approximation in the sense of Kushner and Dupuis; `StepOperator`
 holds it and applies it as a stencil.  `solve` starts from a point mass at
 params.theta0 and ends exactly at t_end.  Its snapshots are the rows of one
-table, checked once and handed out as `ProbabilityField` views.  Between
-snapshots it advances blocks of B steps by dense powers of A, B chosen from
-the snapshot stride, the step count and the grid size.  A solve with a
-snapshot every step is a fill, a linear form of ParaExp-style time
-parallelism (Gander and Guettel, SIAM J. Sci. Comput. 35, C123 (2013)):
-dense powers give the state at every B-th step, and B - 1 stencil steps over
-the stack of those block starts give every state in between.  A solve too
-short for the powers to pay runs the stencil one state at a time.
+table, checked once and handed out as `ProbabilityField` views.  A solve long
+enough for dense powers of A to pay advances in blocks of B steps, B chosen
+from the snapshot stride, the step count and the grid size, in the manner of
+ParaExp-style time parallelism (Gander and Guettel, SIAM J. Sci. Comput. 35,
+C123 (2013)), here in its exact linear form: one short loop of
+matrix-vector products with A^B gives every block start, and the states and
+populations in between come from batched work over all the blocks at once.
+With a snapshot every step (the fill), B - 1 stencil steps over the stack of
+block starts give every state.  With a sparser stride (the blocks), a few
+matrix products give the population at every step from the block starts
+and the source forcing.  A solve too short for the powers to pay runs the
+stencil one state at a time.
 """
 
 from __future__ import annotations
@@ -35,18 +39,23 @@ DEFAULT_N_CELLS = 256
 DEFAULT_CFL = 0.5
 MAX_GAMMA_DT = 0.1
 # Block-size cost model, in dense multiply-adds (about 0.05 ns each with a
-# single-threaded BLAS; the fit is in BENCH_pde_fill.json): one stencil step, a
-# handful of numpy calls, costs about STENCIL_COST of them (12.5 us), a
-# matrix-vector product about MATVEC_COST per element, and a stencil step over
-# a stack of states CELL_COST per cell on top of a stencil step's calls.  A
-# block is at most MAX_BLOCK steps, because its convolution grows as B^2, and
-# runs on at most MAX_BLOCK_CELLS cells, which keeps the few dense n x n
-# powers it holds under 8 MB each.
+# single-threaded BLAS; the fits are in BENCH_pde_fill.json and
+# BENCH_pde_chunked.json): one stencil step, a handful of numpy calls, costs
+# about STENCIL_COST of them (12.5 us), a matrix-vector product about
+# MATVEC_COST per element, a stencil step over a stack of states CELL_COST per
+# cell on top of a stencil step's calls, and one link of the strided blocks'
+# chain of block starts CHAIN_COST (2 us) on top of its matrix-vector product.
+# A block is at most MAX_BLOCK steps, because its forcing's Toeplitz product
+# grows as B^2, and runs on at most MAX_BLOCK_CELLS cells, which keeps the few
+# dense n x n powers it holds under 8 MB each.  The strided blocks run in
+# chunks whose arrays hold about CHUNK_ELEMENTS numbers (1 MB) each.
 STENCIL_COST = 250_000
 MATVEC_COST = 5
 CELL_COST = 150
+CHAIN_COST = 40_000
 MAX_BLOCK = 1024
 MAX_BLOCK_CELLS = 1024
+CHUNK_ELEMENTS = 2**17
 
 
 # eq=False: field-wise == over ndarrays is ambiguous, so == is identity
@@ -212,38 +221,53 @@ def _block_size(n_steps, stride, n_cells):
 
     Each power of two b up to MAX_BLOCK is priced, and the size with the
     lowest estimated cost wins.  With a snapshot every stride > 1 steps,
-    blocks end on every snapshot, and each gap between snapshots is split
-    into equal blocks of at most b steps.  With a snapshot every step (stride
-    1, the fill) the blocks are b steps each, the last one shorter.
+    blocks end on every snapshot: each gap between snapshots is blocks of
+    b steps and a shorter remainder, or one block if the gap is shorter.
+    With a snapshot every step (stride 1, the fill) the blocks are b steps
+    each, the last one shorter.
 
-    The set-up costs about log2(B) + 2 dense n x n products (the squarings
-    of A and the powers the block lengths need), each with about two stencil
-    steps of numpy calls, and B n^2 for each of the two block tables.  Each
-    block costs a stencil step of numpy calls plus matrix-vector products
-    over n^2 + 2 B n + B^2 elements, or over n^2 in the fill.  Each of the
-    fill's B - 1 steps over the stack of block starts costs a stencil step
-    plus CELL_COST per cell, n_steps n cells in all.
+    The set-up costs 2 + floor(log2 B) dense n x n products (A and its
+    squarings), plus popcount(L) - 1 for the power of each block length L,
+    each product with about two stencil steps of numpy calls, and B n^2 for
+    each of the two block tables.  In the fill each block costs a stencil step
+    of numpy calls plus a matrix-vector product, and each of its B - 1 steps
+    over the stack of block starts a stencil step plus CELL_COST per cell,
+    n_steps n cells in all.  A strided block costs CHAIN_COST of calls and a
+    matrix-vector product in the chain of block starts, and 2 B n + B^2
+    multiply-adds in the chunked products (its pushed forcing, and its
+    populations from its start and from its forcing).
     """
     best, best_cost = 1, n_steps * STENCIL_COST
     if n_cells > MAX_BLOCK_CELLS:
         return best
     fill = stride == 1
     gap = n_steps if fill else min(stride, n_steps)
-    full, last = divmod(n_steps, stride)
     b = 1
     while b < min(gap, MAX_BLOCK):
         b *= 2
-        size = b if fill else -(-gap // -(-gap // b))
-        cost = (math.log2(size) + 2) * (n_cells**3 + 2 * STENCIL_COST) + 2 * size * n_cells**2
         if fill:
-            cost += n_steps // size * (STENCIL_COST + MATVEC_COST * n_cells**2)
+            size, lengths, n_blocks = b, {b}, n_steps // b
+            cost = n_blocks * (STENCIL_COST + MATVEC_COST * n_cells**2)
             cost += (size - 1) * STENCIL_COST + n_steps * n_cells * CELL_COST
         else:
-            n_blocks = full * -(-stride // size) + -(-last // size)
-            cost += n_blocks * (STENCIL_COST + MATVEC_COST * (n_cells + size) ** 2)
+            size = min(b, gap)
+            lengths, n_blocks = _strided_blocks(n_steps, stride, size)
+            cost = n_blocks * (CHAIN_COST + MATVEC_COST * n_cells**2 + size * (2 * n_cells + size))
+        products = 2 + int(math.log2(size)) + sum(bin(n).count("1") - 1 for n in lengths)
+        cost += products * (n_cells**3 + 2 * STENCIL_COST) + 2 * size * n_cells**2
         if cost < best_cost:
             best, best_cost = size, cost
     return best
+
+
+def _strided_blocks(n_steps, stride, size):
+    """The distinct lengths and the number of the strided blocks: each gap
+    between snapshots (the last one possibly shorter) is blocks of size steps
+    and a shorter remainder."""
+    full, last = divmod(n_steps, stride)
+    gaps = {stride, last} if full else {last}
+    lengths = {size for gap in gaps if gap >= size} | {gap % size for gap in gaps}
+    return lengths - {0}, full * -(-stride // size) + -(-last // size)
 
 
 def _stencil(op: StepOperator, table, forcing, s2, stride, out):
@@ -255,6 +279,12 @@ def _stencil(op: StepOperator, table, forcing, s2, stride, out):
         out[k - 1] = s2.dot(values)
         values = op.apply(values, out=rows[-(-k // stride)])
         values[source] += f
+
+
+def _chain(powers, starts, pushed):
+    """starts[b + 1] = powers[b] @ starts[b] + pushed[b], block after block."""
+    for b, power in enumerate(powers):
+        starts[b + 1] = power @ starts[b] + pushed[b]
 
 
 def _fill(op: StepOperator, table, forcing, s2, size, out):
@@ -272,8 +302,7 @@ def _fill(op: StepOperator, table, forcing, s2, size, out):
     _, states, powers = _block_tables(op.matrix(), s2, source, size, {size})
     starts = table[::size]
     pushed = forcing[: full * size].reshape(full, size)[:, ::-1] @ states
-    for b in range(full):
-        starts[b + 1] = powers[size] @ starts[b] + pushed[b]
+    _chain([powers[size]] * full, starts, pushed)
     stack = starts[: -(-n_steps // size)].copy()
     for j in range(1, size):
         f = forcing[j - 1 :: size]
@@ -317,30 +346,52 @@ def _block_tables(a, s2, source, size, lengths):
 def _blocks(op: StepOperator, table, forcing, s2, stride, size, out):
     """Blocks of at most size steps from table[0], the state at step 0.
 
-    The state at step k goes into table[ceil(k / stride)], and out[k] gets
+    Blocks restart at every snapshot: each gap of stride steps (the last one
+    possibly shorter) is blocks of size steps and a shorter remainder.  The
+    state at step k goes into table[ceil(k / stride)], and out[k] gets
     s2 . state for every step k before the last.  Over a block of L steps
     from state v with source forcing f_0..f_{L-1}: the state ends at
     A^L v + sum_j f_j A^(L-1-j) e_source, and
     s2 . state_j = (s2^T A^j) v + sum_{i<j} h_(j-1-i) f_i, h_j = s2^T A^j e_source.
+
+    The blocks run in chunks of CHUNK_ELEMENTS / max(size, n) blocks, so the
+    work arrays do not grow with the step count.  A chunk lays out each
+    block's forcing as a row of size entries, zero-padded, and then: one
+    product of the reversed rows with the (A^i e_source) table gives every
+    block's pushed forcing; _chain gives every block start, the only loop
+    over blocks; and two products give every population, the starts times
+    the s2^T A^j rows plus the forcing rows times the strictly upper
+    triangular Toeplitz matrix of h.
     """
-    n_steps = forcing.size
-    lengths = []
-    for start in range(0, n_steps, stride):
-        q, r = divmod(min(stride, n_steps - start), size)
-        lengths += [size] * q + [r] * (r > 0)
+    n_steps, n_cells = forcing.size, op.grid.n_cells
     source = op.grid.source_index
-    rows, states, powers = _block_tables(op.matrix(), s2, source, size, set(lengths))
-    impulse = rows[:, source]
-    values, k = table[0], 0
-    for length in lengths:
-        f = forcing[k : k + length]
-        out[k : k + length] = rows[:length] @ values
-        values = powers[length] @ values
-        if f.any():
-            values += f[::-1] @ states[:length]
-            out[k + 1 : k + length] += np.convolve(impulse[:length], f)[: length - 1]
-        k += length
-        table[-(-k // stride)] = values
+    lengths, n_blocks = _strided_blocks(n_steps, stride, size)
+    rows, states, powers = _block_tables(op.matrix(), s2, source, size, lengths)
+    # toeplitz[i, j] = h_(j-1-i) above the diagonal, 0 on and below it
+    padded = np.append(np.zeros(size), rows[:-1, source])
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, size)[::-1].copy()
+    j = np.arange(size)
+    chunk = max(1, CHUNK_ELEMENTS // max(size, n_cells))
+    starts = np.empty((min(chunk, n_blocks) + 1, n_cells))
+    starts[0] = table[0]
+    for b in range(0, n_blocks, chunk):
+        gap, i = np.divmod(np.arange(b, min(b + chunk, n_blocks)), -(-stride // size))
+        first = gap * stride + i * size
+        # size steps on, or at the end of the gap, or at the last step
+        end = np.minimum(np.minimum(first + size, (gap + 1) * stride), n_steps)
+        m, length = first.size, (end - first)[:, None]
+        span = slice(first[0], end[-1])
+        # each block's forcing f_0..f_(L-1) as a row of size, zero-padded at
+        # the end, and reversed, f_(L-1)..f_0, zero-padded at the end
+        ahead, behind = np.zeros((2, m, size))
+        live = j < length
+        ahead[live] = behind[:, ::-1][j >= size - length] = forcing[span]
+        _chain([powers[n] for n in length[:, 0].tolist()], starts, behind @ states)
+        out[span] = (starts[:m] @ rows.T + ahead @ toeplitz)[live]
+        # the blocks that end on a snapshot fill their table rows
+        done = (end % stride == 0) | (end == n_steps)
+        table[-(-end[done] // stride)] = starts[1 : m + 1][done]
+        starts[0] = starts[m]
 
 
 def solve(

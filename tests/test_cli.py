@@ -225,11 +225,16 @@ class TestFig1Command:
         assert doc["mean_kolmogorov"] > 0 and doc["mean_baseline"] > 0
         assert doc["l1_distance"] == pytest.approx(0.345, abs=0.01)
 
-    def test_under_resolved_grid_names_n(self, tmp_path, capsys):
-        rc = cli.main(["fig1", "--panel", "a", "--n", "30",
-                       "--out", str(tmp_path / "f.csv")])
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    @pytest.mark.parametrize("panel", ["a", "b"])
+    def test_under_resolved_grid_names_n(self, tmp_path, capsys, panel, n):
+        # ell_K's trapezoid mass is far from 1 on these grids: it is refused,
+        # not turned into a mean_baseline and an l1_distance
+        out = tmp_path / "f.csv"
+        rc = cli.main(["fig1", "--panel", panel, "--n", str(n), "--out", str(out)])
         assert rc == 2
-        assert "n=30" in capsys.readouterr().err
+        assert f"--n={n} under-resolves panel {panel}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDualityCommand:

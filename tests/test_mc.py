@@ -422,3 +422,22 @@ class TestOneLaneBitIdentity:
         argv = ["mc", "--n", "1000", "--horizon", "50", "--no-timestamp", "--out", str(out)]
         assert cli.main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == ONE_LANE_DIGESTS["cli_mc"]
+
+
+# sha256 of the float64 bytes of (times, offsets, theta) of one short run per
+# semantics with seven renewal lanes per trajectory, like the long emission
+# runs behind the waiting-time checks: a kernel change that moves any draw of
+# a lane run shows here
+LANE_DIGESTS = {
+    LITERAL: "40debad62565d1591a399a52f1ca336bc9568b80ba01010c27152c090f603ad5",
+    EMISSION: "dea3d66a6fd34ac55ed78d94d8303692232de8b8443f333e4f3f1e674a1641ae",
+}
+
+
+@pytest.mark.parametrize("semantics", list(LANE_DIGESTS), ids=lambda s: s.name)
+def test_lane_ensemble_unchanged(semantics):
+    p, horizon, seed, n = ModelParams(3.33, 1.0), 2000.0, 11, 8
+    assert n_lanes(p, horizon, n) == 7
+    rec = mc.ensemble_records(p, semantics, horizon, seed, n)
+    theta = mc.ensemble_theta_at(p, semantics, horizon, seed, n)
+    assert sha256_of(rec.times, rec.offsets, theta) == LANE_DIGESTS[semantics]

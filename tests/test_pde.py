@@ -465,13 +465,22 @@ class TestBlockPropagation:
             (1.0 / 6.0, 1.2, 512, 1000, 1, 16),
             (3.33, -0.7, 257, 2000, 1, 128),
             (1.0 / 6.0, 1.2, 512, 4000, 4000, 32),  # blocks the model no longer picks
+            (3.33, 0.2, 64, 1000, 100, 32),  # a remainder of 4 steps in every gap
+            (1.0, 0.4, 16, 3000, 700, 128),  # a last gap of 200 steps
+            (2.0, 0.3, 64, 600, 37, 64),  # one block per gap, shorter than size
+            (3.33, -0.7, 257, 2000, 128, 128),  # one full block per gap
+            # the point mass underflows to 0 at step 15 022: no forcing in
+            # 53 % of the steps, most of the blocks
+            (2.0, 0.3, 16, 32_000, 3000, 64),
         ],
     )
     def test_block_size_matches_stencil(
         self, monkeypatch, omega, theta0, n_cells, n_steps, stride, size
     ):
-        # the fill and the blocks at a size set here, whatever the cost model picks
+        # the fill and the blocks at a size set here, whatever the cost model
+        # picks, and the blocks in chunks of three, which cut gaps apart
         monkeypatch.setattr(pde, "_block_size", lambda *args: size)
+        monkeypatch.setattr(pde, "CHUNK_ELEMENTS", 3 * max(size, n_cells))
         r, p, g = solve_case(omega, theta0, n_cells, n_steps, stride)
         assert_matches_stencil(r, p, g, stride)
 
@@ -495,18 +504,23 @@ class TestBlockPropagation:
 # --no-timestamp CLI files, recorded while the solver still built and checked
 # each snapshot on its own.  The two runs on the fill were recorded on it;
 # stencil_stride1 differs from its stencil run (digest 00142e45...) by at most
-# 3.4e-16 in rho and 4.5e-16 in L1 per snapshot
+# 3.4e-16 in rho and 4.5e-16 in L1 per snapshot.  blocks, cli_pde and
+# cli_duality were recorded on the chunked blocks with re-fitted block sizes:
+# against the blocks run one at a time (digests 9ebd6efa..., 49ec21c0...,
+# 7cdf7827...) blocks moved by at most 7.8e-16 in rho and 8.2e-16 in L1 per
+# snapshot, the qjump pde solve by 5.6e-16 and 1.5e-17, and the duality
+# reference by 9.5e-16 in L1, which moved its L1 distances by at most 9.4e-17
 PDE_DIGESTS = {
     "stencil_stride1": "18eecaa54dedbbce1f6ae9226a3a8d80bae1fcd9915247878bd3f16ac6b1514a",
     "fill": "3eb798ab3b9f33a29af959acbe04f88c5e91184faad90896d1a8aaee1dcd24ee",
     "stencil_stride7": "00863d10a947c7a0b4f6fc70225d2982685d565403ab299e3d916338c1b59c73",
-    "blocks": "9ebd6efaea3a73020d4ea0bc888dca1ba341b2f5191ba2783bcc75a05eca2aa9",
+    "blocks": "7f1815ed504424aafd7f4f9d718a53660a6609d51a5bdf9c7d5daa0c2d12cd99",
     "no_pump": "357adbbb3d962692a143b1216b8330d6631c844c8d228a95b4563bf483b3af1b",
     "matrix_c0": "5715e0ca106ea37262bff18d41570056ea0f27e924b4b71e22aec7bbce13976f",
     "matrix_c_mid": "b8c049cac6f66ff5426547c981cd14116b049d64cd4b9cb9b4a423c0a5bcf992",
     "matrix_c1": "5c7002b67167a40d5443d505c3b284f9fe502124b23d8e9b9b4f6054622fa7b5",
-    "cli_pde": "49ec21c0e372b267362bb96a2f59fa15d81a5f31f8cc6bbd1aa440c934b3ae9f",
-    "cli_duality": "7cdf782762467d0d9e30dafaa7d0c0da2fd7506cf5d0715c2b63d776e5623618",
+    "cli_pde": "bd1a32d9e24517a61547670974fc92f51337b9955a071da1ff1800c10876f1c9",
+    "cli_duality": "7adb1ba970aac820def3bfdadc525ea370ff81dd136b49d8221f94382647b8e2",
 }
 # (params, n_cells, t_end, snapshot_stride) at dt = max_stable_dt; an integer
 # t_end counts steps of dt
