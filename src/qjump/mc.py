@@ -4,7 +4,10 @@ Candidate events are proposed at the constant majorant rate gamma (both
 hazards are bounded by gamma) and accepted with probability hazard/gamma
 evaluated at the drifted angle, so event times carry no discretization bias.
 One kernel advances many lanes at once: each round draws one array per
-variate, sized to the lanes still active, and applies masks.
+variate, sized to the lanes still active, and updates their compacted clock,
+phase and (with several lanes) reachable lane time; only the jumps' index
+list touches a lane's record row.  An ensemble of angles alone with one lane
+records no times and writes a lane's phase only as it leaves.
 
 Renewal lanes: every jump resets theta to 0, so a trajectory's jump cycles
 are i.i.d.  A block of n trajectories with horizon H runs each as
@@ -74,76 +77,97 @@ class Emissions:
             yield EmissionTimes(self.times[a:b], self.t_end)
 
 
-def _lane_starts(buf, counts, ids, t, stop, horizon, lanes):
+def _lane_starts(span, ids, t, stop, lanes):
     """Least start of each lane on its trajectory's clock: the spans before it.
 
-    A finished lane spans its last jump if that passed `stop`, else the horizon;
-    an active lane at time t spans max(t, stop) or more."""
-    span, ran = np.full(counts.size, horizon), counts > 0
-    last = np.abs(buf[ran, counts[ran] - 1])
-    span[ran] = np.where(last >= stop, last, horizon)
+    `span` holds each finished lane's: its last jump if that passed `stop`,
+    else the horizon; an active lane at time t spans max(t, stop) or more."""
+    span = span.copy()
     span[ids] = np.maximum(t, stop)
-    start = np.zeros((counts.size // lanes, lanes))
+    start = np.zeros((span.size // lanes, lanes))
     np.cumsum(span.reshape(-1, lanes)[:, :-1], axis=1, out=start[:, 1:])
     return start.ravel()
 
 
-def _kernel(params, semantics, horizon, rng, n):
+def _kernel(params, semantics, horizon, rng, n, record=True):
     """Thinning on n trajectories at once, each run as renewal lanes.
 
     Returns (times, counts, theta): all trajectories' emission times in order,
-    how many belong to each, and each angle at `horizon`."""
-    omega, gamma = params.omega, params.gamma
+    how many belong to each, and each angle at `horizon`.  With record=False
+    and one lane the times are not kept: times is empty and counts are 0."""
+    omega, gamma, half = params.omega, params.gamma, 0.5 * params.omega
     literal = semantics is JumpSemantics.KOLMOGOROV_LITERAL
     lanes = min(-(-BLOCK // n), int(gamma * horizon // LANE_SPAN)) if omega else 1
     lanes = max(1, lanes)
     stop, every = horizon / lanes, lanes > 1  # lanes keep every jump, silent < 0
+    record = record or every  # lanes rebuild the angle at H from the jump times
+    size = n * lanes
     # theta(t) = phase + omega*t/2 in lane time; a jump at t resets it to 0
-    phase = np.full(n * lanes, float(params.theta0))
-    phase.reshape(n, lanes)[:, 1:] = 0.0
-    buf, counts = np.empty((phase.size, 4)), np.zeros(phase.size, dtype=np.intp)
+    phase = np.zeros(size)
+    phase[::lanes] = params.theta0
+    buf, counts = np.empty((size, 4)), np.zeros(size, dtype=np.intp)
+    span = np.full(size, horizon)  # of each finished lane, as _lane_starts reads it
     # the hazard is identically zero once omega = 0 and theta = 0
-    ids = np.arange(phase.size if omega != 0.0 or params.theta0 != 0.0 else 0)
+    ids = np.arange(size if omega != 0.0 or params.theta0 != 0.0 else 0)
     t, ph, rounds = np.zeros(ids.size), phase[ids], 0  # state of the active lanes
     while ids.size:
-        if lanes > 1 and rounds % LANE_SPAN == 0:  # lane time that can reach H
-            need = horizon - _lane_starts(buf, counts, ids, t, stop, horizon, lanes)
+        if every and rounds % LANE_SPAN == 0:  # lane time that can reach H
+            need = horizon - _lane_starts(span, ids, t, stop, lanes)[ids]
         m, rounds = ids.size, rounds + 1
-        t = t + rng.exponential(size=m) / gamma
-        s2 = np.sin(ph + 0.5 * omega * t) ** 2
-        live = t < (horizon if lanes == 1 else need[ids])
-        jump = live & (rng.random(m) < (s2 if literal else s2 * s2))
-        emit = (jump & (rng.random(m) < s2)) if literal else jump
-        rec = jump if every else emit
-        if rec.any():
+        e = rng.exponential(size=m)
+        t += np.divide(e, gamma, out=e)
+        back = t * -half  # the phase that a jump now sets
+        s2 = np.sin(ph - back)
+        np.square(s2, out=s2)
+        live = t < (need if every else horizon)
+        jump = rng.random(m) < (s2 if literal else np.square(s2, out=s2))
+        jump &= live
+        u = rng.random(m) if literal else None
+        j = jump.nonzero()[0]
+        if record and j.size:
+            rec, v = j, t[j]
+            if literal:  # the jumps that emit; lanes record a silent one as -t
+                sent = u[j] < s2[j]
+                rec, v = (j, np.where(sent, v, -v)) if every else (j[sent], v[sent])
             rows = ids[rec]
-            if counts[rows].max() == buf.shape[1]:
+            c = counts[rows]
+            if rows.size and c.max() == buf.shape[1]:
                 buf = np.concatenate([buf, np.empty_like(buf)], axis=1)
-            buf[rows, counts[rows]] = (np.where(emit, t, -t) if every else t)[rec]
-            counts[rows] += 1
-        if jump.any():
-            ph = np.where(jump, -0.5 * omega * t, ph)
-            phase[ids[jump]] = ph[jump]
-        keep = live & ~jump if omega == 0.0 else live
-        if lanes > 1:  # a lane ends at its first jump past its share of H
-            keep &= ~(jump & (t >= stop))
+            buf[rows, c] = v
+            counts[rows] = c + 1
+        ph[j] = back[j]
+        keep = live  # a lane ends past H, and at its jump if omega = 0
+        if omega == 0.0:
+            keep[j] = False
+        elif every:  # or at its first jump past its share of H
+            done = j[t[j] >= stop]
+            span[ids[done]] = t[done]
+            keep[done] = False
         if not keep.all():
-            ids, t, ph = ids[keep], t[keep], ph[keep]
+            if not every:
+                gone = (~keep).nonzero()[0]
+                phase[ids[gone]] = ph[gone]
+            k = keep.nonzero()[0]
+            ids, t, ph = ids[k], t[k], ph[k]
+            if every:
+                need = need[k]
     times = buf[np.arange(buf.shape[1]) < counts[:, None]]
-    if lanes == 1:
-        return times, counts, reduce_angle(phase + 0.5 * omega * horizon)
-    start = _lane_starts(buf, counts, ids, t, stop, horizon, lanes)
-    t = np.abs(times) + np.repeat(start, counts)
-    owner, inside = np.repeat(np.arange(phase.size) // lanes, counts), t < horizon
+    del buf  # the largest array: free it before the lanes are stitched
+    if not every:
+        return times, counts, reduce_angle(phase + half * horizon)
+    start = _lane_starts(span, ids, t, stop, lanes)
+    t = np.abs(times)
+    t += np.repeat(start, counts)
+    owner, inside = np.repeat(np.arange(size) // lanes, counts), t < horizon
     jumps = np.bincount(owner[inside], minlength=n)
     phase = np.full(n, float(params.theta0))  # the angle at H follows the last jump
-    phase[jumps > 0] = -0.5 * omega * t[inside][np.cumsum(jumps)[jumps > 0] - 1]
+    phase[jumps > 0] = -half * t[inside][np.cumsum(jumps)[jumps > 0] - 1]
     keep = inside & (times > 0)
-    theta = reduce_angle(phase + 0.5 * omega * horizon)
-    return np.copysign(t, times)[keep], np.bincount(owner[keep], minlength=n), theta
+    theta = reduce_angle(phase + half * horizon)
+    return np.copysign(t, times, out=t)[keep], np.bincount(owner[keep], minlength=n), theta
 
 
-def _run_ensemble(params, semantics, horizon, seed, n):
+def _run_ensemble(params, semantics, horizon, seed, n, record=True):
     """(times, counts, theta) of n trajectories, BLOCK per stream.
 
     About gamma * horizon * n candidates are drawn, at most MAX_STEPS."""
@@ -161,7 +185,7 @@ def _run_ensemble(params, semantics, horizon, seed, n):
         )
     rngs = [np.random.default_rng((seed, b)) for b in range(-(-n // BLOCK))]
     sizes = [min(BLOCK, n - b * BLOCK) for b in range(len(rngs))]
-    parts = [_kernel(params, semantics, horizon, *pair) for pair in zip(rngs, sizes)]
+    parts = [_kernel(params, semantics, horizon, r, m, record) for r, m in zip(rngs, sizes)]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -177,7 +201,7 @@ def ensemble_theta_at(
     params: ModelParams, semantics: JumpSemantics, horizon: float, seed: int, n: int
 ) -> np.ndarray:
     """Angles of n independent trajectories sampled at the horizon."""
-    return _run_ensemble(params, semantics, horizon, seed, n)[2]
+    return _run_ensemble(params, semantics, horizon, seed, n, record=False)[2]
 
 
 def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:

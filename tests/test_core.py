@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,7 @@ class TestDelayScales:
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 normal_float = st.floats(sys.float_info.min, sys.float_info.max)
 LOG_MIN, LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+FLOAT_MAX, EDGE_ULPS = Fraction(sys.float_info.max), Fraction(4, 2**52)
 moderate = st.floats(1e-3, 1e3)
 
 
@@ -442,17 +444,30 @@ class TestInputContracts:
     # so finite and nonzero, and up to 1e-3 off
     @example(omega=1e-80, gamma=0.1)
     @example(omega=1e-160, gamma=1e-30)
+    # the scale gamma is finite, but math.log(gamma) rounds to log of the
+    # largest float, so a log-space edge once demanded a refusal
+    @example(omega=1.0, gamma=1.7976931348621712e308)
     def test_delay_scales(self, omega, gamma):
         # each scale is within 1e-12 of a log-space oracle wherever that is a
-        # normal float, and names omega past the largest float
+        # normal float, and names omega past the largest float.  The edge is
+        # decided on the exact rational scale**power, with either outcome
+        # allowed within the few ulps that the factored formula rounds by.
         p = ModelParams(omega, gamma)
+        w, g = Fraction(omega), Fraction(gamma)
         log_omega, log_gamma = math.log(omega), math.log(gamma)
-        for scale, log_scale in [
-            (core.weak_field_delay_scale, -(4.0 * log_omega + log_gamma) / 5.0),
-            (core.dressed_delay_scale, log_gamma - 2.0 * log_omega),
+        for scale, power, exact, log_scale in [
+            (core.weak_field_delay_scale, 5, 1 / (w**4 * g), -(4.0 * log_omega + log_gamma) / 5.0),
+            (core.dressed_delay_scale, 1, g / w**2, log_gamma - 2.0 * log_omega),
         ]:
-            assert_finite_or_names(lambda: scale(p), log_scale < LOG_MAX, "omega")
-            if LOG_MIN <= log_scale < LOG_MAX:
+            fits = exact < (FLOAT_MAX * (1 - EDGE_ULPS)) ** power
+            if fits or exact > (FLOAT_MAX * (1 + EDGE_ULPS)) ** power:
+                assert_finite_or_names(lambda: scale(p), fits, "omega")
+            else:
+                try:
+                    assert math.isfinite(scale(p))
+                except ValueError as e:
+                    assert re.search(r"\bomega\b", str(e)), e
+            if fits and LOG_MIN <= log_scale < LOG_MAX:
                 assert scale(p) == pytest.approx(math.exp(log_scale), rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

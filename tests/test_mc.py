@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,8 @@ class TestRenewalLanes:
         rng = CountingRng(16)
         times, counts, theta = mc._kernel(p, semantics, horizon, rng, n)
         assert rng.candidates < 8 * n * p.gamma * horizon
+        # drawn before the kernel's round loop was slimmed: the same draws
+        assert rng.candidates == {LITERAL: 59_380, EMISSION: 59_324}[semantics]
         assert np.all(np.isfinite(times)) and np.all(np.isfinite(theta))
         assert counts.shape == (n,) and counts.sum() == times.size
         assert np.all((-math.pi / 2 <= theta) & (theta < math.pi / 2))
@@ -441,3 +444,65 @@ def test_lane_ensemble_unchanged(semantics):
     rec = mc.ensemble_records(p, semantics, horizon, seed, n)
     theta = mc.ensemble_theta_at(p, semantics, horizon, seed, n)
     assert sha256_of(rec.times, rec.offsets, theta) == LANE_DIGESTS[semantics]
+
+
+# sha256 of the float64 bytes of (times, offsets, theta), recorded before the
+# kernel's round loop was slimmed, for kernel paths no digest above covers:
+# one lane in the first block and seven in the second; angles alone, which
+# record no times, across a partial third block; and no lane ever active
+KERNEL_DIGESTS = {
+    ("two_blocks", LITERAL): "740457b8aa805c41825c29f243d90b0cf3fb35317810932a5664e63b331b4813",
+    ("two_blocks", EMISSION): "16e90f94e54a7c59f3fa97b82609c9318c0e4b9dc4d877593146958ab05265df",
+    ("angles_only", LITERAL): "c2e8ae082faa499dc71abf9ea8c05686072591468f4b6ccdf5d8e46a1428de27",
+    ("angles_only", EMISSION): "3c102fb3462e3f85dc474b9b0bc1fe382a3255c02e3ed132e8aa7a601fa23f6d",
+    ("idle", LITERAL): "10eef285deef7a4b7c82b22aa53589b7833df29de3814649c772bbd5c832f365",
+    ("idle", EMISSION): "10eef285deef7a4b7c82b22aa53589b7833df29de3814649c772bbd5c832f365",
+}
+
+
+@pytest.mark.parametrize("semantics", [LITERAL, EMISSION], ids=lambda s: s.name)
+class TestKernelBitIdentity:
+    def test_one_lane_block_then_seven_lane_block(self, semantics):
+        p, horizon, seed, n = ModelParams(3.33, 1.0), 2000.0, 11, mc.BLOCK + 8
+        assert n_lanes(p, horizon, mc.BLOCK) == 1 and n_lanes(p, horizon, 8) == 7
+        rec = mc.ensemble_records(p, semantics, horizon, seed, n)
+        theta = mc.ensemble_theta_at(p, semantics, horizon, seed, n)
+        digest = sha256_of(rec.times, rec.offsets, theta)
+        assert digest == KERNEL_DIGESTS["two_blocks", semantics]
+
+    def test_angles_only_across_a_partial_block(self, semantics):
+        theta = mc.ensemble_theta_at(ModelParams(3.33, 1.0), semantics, 5.0, 99, 2 * mc.BLOCK + 5)
+        assert sha256_of(theta) == KERNEL_DIGESTS["angles_only", semantics]
+
+    def test_no_lane_ever_active(self, semantics):
+        p, horizon, seed, n = ModelParams(0.0, 1.0, 0.0), 10.0, 3, 5
+        rec = mc.ensemble_records(p, semantics, horizon, seed, n)
+        theta = mc.ensemble_theta_at(p, semantics, horizon, seed, n)
+        assert rec.times.size == 0 and np.all(theta == 0.0)
+        assert sha256_of(rec.times, rec.offsets, theta) == KERNEL_DIGESTS["idle", semantics]
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees numpy and Python allocate during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks, in bytes rounded up to 10 kB, of two ensembles before the
+# kernel's round loop was slimmed: the waiting_time benchmark's panel-b
+# emission ensemble (103 lanes per trajectory) and criterion 6's largest angle
+# ensemble.  Each was measured on a second call in its process; a first call
+# there peaked 0.8 MB higher.  A larger time buffer would show in the
+# benchmark's peak resident memory.
+PARENT_PEAKS = {"panel_b_records": 9.0e6, "theta_1e5": 6.05e6}
+
+
+def test_memory_peaks_do_not_grow():
+    panel_b = lambda: mc.ensemble_records(ModelParams(1.0 / 6.0, 1.0), EMISSION, 40_000.0, 7, 40)
+    theta = lambda: mc.ensemble_theta_at(ModelParams(3.33, 1.0), LITERAL, 5.0, 99, 100_000)
+    assert traced_peak(panel_b) <= PARENT_PEAKS["panel_b_records"]
+    assert traced_peak(theta) <= PARENT_PEAKS["theta_1e5"]
