@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 HALF_PI = math.pi / 2.0
-# Gauss-Legendre nodes per panel, and panels evaluated per block, of the
-# waiting-time moments
-_PANEL_NODES = 32
+# Gauss-Legendre panels evaluated per block of the waiting-time moments
 _PANELS_PER_BLOCK = 2048
 # most steps time_steps allows: a sparse-snapshot pde.solve peaks at 56 bytes
 # per step (seven float64 arrays; tracemalloc, 56.2 MB at 10^6 steps with a
@@ -34,6 +33,29 @@ _SIN4_SERIES = [
     (-1) ** k * (4.0 ** (2 * k) / 8.0 - 4.0**k / 2.0) / ((2 * k + 1) * math.factorial(2 * k))
     for k in range(2, 12)
 ]
+# the 32-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.
+# leggauss(32) gives it: nodes ascending, x[i] = -x[31 - i], w[i] = w[31 - i];
+# the upper halves below, mirrored
+_GL_UPPER = (
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+)
+_GL_NODES = np.array([-x for x, _ in reversed(_GL_UPPER)] + [x for x, _ in _GL_UPPER])
+_GL_WEIGHTS = np.array([w for _, w in reversed(_GL_UPPER)] + [w for _, w in _GL_UPPER])
 
 
 class JumpSemantics(enum.Enum):
@@ -119,7 +141,11 @@ def intensity_integral(tau, omega):
     small = x < 0.5
     if small.any():
         out, x = np.array(out), x[small]
-        out[small] = tau[small] * x**4 * np.polynomial.polynomial.polyval(x * x, _SIN4_SERIES)
+        # Horner's rule, term by term as numpy.polynomial.polynomial.polyval
+        y, series = x * x, _SIN4_SERIES[-1]
+        for c in reversed(_SIN4_SERIES[:-1]):
+            series = c + series * y
+        out[small] = tau[small] * x**4 * series
         out = out[()]
     return out
 
@@ -192,9 +218,8 @@ def _tail_panels(params: ModelParams):
         )
     n_panels = math.ceil(T / width)
     h = T / n_panels
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
-    offsets = 0.5 * h * (x + 1.0)
-    weights = 0.5 * h * w
+    offsets = 0.5 * h * (_GL_NODES + 1.0)
+    weights = 0.5 * h * _GL_WEIGHTS
     for start in range(0, n_panels, _PANELS_PER_BLOCK):
         left = h * np.arange(start, min(start + _PANELS_PER_BLOCK, n_panels))
         nodes = (left[:, None] + offsets).ravel()
@@ -247,6 +272,15 @@ def weak_field_delay_scale(params: ModelParams):
     return _delay_scale(params, "weak_field_delay_scale", lambda om, g: om**-0.8 * g**-0.2)
 
 
+def _dressed(om, g):
+    """gamma/omega/omega.  Where gamma/omega is subnormal it keeps fewer bits
+    than gamma/omega^2 may need, so gamma is first scaled by 2^53, exactly,
+    and the quotient scaled back: there gamma * 2^53/omega^2 < 2^105."""
+    if g / om >= sys.float_info.min:
+        return g / om / om
+    return math.ldexp(math.ldexp(g, 53) / om / om, -53)
+
+
 def dressed_delay_scale(params: ModelParams):
     """Dressed-atom delay scale gamma/omega^2, as gamma/omega/omega, for comparison output."""
-    return _delay_scale(params, "dressed_delay_scale", lambda om, g: g / om / om)
+    return _delay_scale(params, "dressed_delay_scale", _dressed)

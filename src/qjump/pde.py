@@ -216,6 +216,27 @@ def _hazard_integrals(angle, dt, params: ModelParams):
     return 0.5 * params.gamma * dt * (1.0 - np.cos(angle[:-1] + angle[1:]) * ratio)
 
 
+def _point_mass(angle, dt, params: ModelParams):
+    """Survival of the not-yet-jumped point mass at each angle[k]: the running
+    product of exp(-hazard) over the steps, exact 0 once it leaves the normal range.
+
+    Past a cumulative hazard of -ln(tiny) the product is subnormal, where
+    x * f can round back to x and never reach 0, and every operation on it
+    runs at subnormal speed.  The product stops one unit of hazard later, far
+    beyond the round-off of either running sum, and what fell below tiny, a
+    suffix since no factor exceeds 1, is 0.
+    """
+    hazard = _hazard_integrals(angle, dt, params)
+    tiny, stop = np.finfo(float).tiny, hazard.size
+    if hazard.sum() > 1.0 - math.log(tiny):
+        stop = int(np.searchsorted(np.cumsum(hazard), 1.0 - math.log(tiny), side="right"))
+    point = np.zeros(angle.size)
+    point[0] = 1.0
+    np.cumprod(np.exp(-hazard[:stop]), out=point[1 : stop + 1])
+    point[point.size - np.searchsorted(point[::-1], tiny) :] = 0.0
+    return point
+
+
 def _block_size(n_steps, stride, n_cells):
     """Steps per dense block, or 1 to run the stencil step by step.
 
@@ -422,8 +443,7 @@ def solve(
     dx, s2 = grid.cell_width, grid.sin2
     times = np.linspace(0.0, t_end, n_steps + 1)
     angle = params.theta0 + 0.5 * params.omega * times
-    point = np.ones(n_steps + 1)
-    np.cumprod(np.exp(-_hazard_integrals(angle, dt, params)), out=point[1:])
+    point = _point_mass(angle, dt, params)
     # density the point mass feeds into the source cell during step k
     forcing = (point[:-1] - point[1:]) / dx
 

@@ -125,6 +125,7 @@ class TestIntegrate:
             pytest.param("x0", (1.5e308, 1.5e308, 0.0, 0.0), 1.0, 0.01, id="x0-overflows"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_input_names_parameter(self, name, x0, t_end, dt):
         with pytest.raises(ValueError, match=name):
             baseline.integrate(x0, ModelParams(1.0, 1.0), t_end, dt)
@@ -245,6 +246,44 @@ class TestDelayFunction:
             baseline.delay_function(p, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             baseline.delay_function(p, np.array([0.0, 2.0, 1.0]))
+
+
+class TestPropagatorPowers:
+    """A uniform grid takes powers of one propagator, any other steps along."""
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0 / 6.0, 0.5, 3.33, 100.0])
+    def test_powers_match_stepping(self, ratio):
+        # both apply the same exp(L_0 h); only the order of the products differs
+        p = ModelParams(ratio, 1.0)
+        tau = np.linspace(0.0, baseline.delay_tail_cutoff(p), 6001)
+        generator = baseline._generator(p, 0.0)
+        powers = baseline._powers(generator, GROUND, tau[-1] / 6000, 6000)
+        stepped = baseline._stepwise(generator, GROUND, np.diff(tau).tolist())
+        assert powers.shape == stepped.shape == (6001, 4)
+        excited = stepped[:, 1]
+        assert np.max(np.abs(powers[:, 1] - excited)) <= 1e-13 * excited.max()
+
+    @pytest.mark.parametrize(
+        "span, points, moved, path",
+        [
+            (20.0, 401, 0.0, "_powers"),
+            (20.0, 401, 1e-9, "_stepwise"),
+            (2.07e7, 2000, 0.0, "_powers"),
+            (1e-3, 2, 0.0, "_powers"),
+            (41.4, 40_000, 0.0, "_powers"),
+        ],
+    )
+    def test_grid_picks_its_path(self, monkeypatch, span, points, moved, path):
+        tau = np.linspace(0.0, span, points)
+        tau[points // 2] += moved
+        calls = []
+        for name in ("_powers", "_stepwise"):
+            real = getattr(baseline, name)
+            monkeypatch.setattr(
+                baseline, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        baseline.delay_function(ModelParams(3.33, 1.0), tau)
+        assert calls == [path]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -133,12 +133,14 @@ class TestBaselineCommand:
 
     def test_file_unchanged(self, tmp_path):
         # sha256 of the README run's --no-timestamp file, recorded when one
-        # 4x4 generator replaced the 2x2 amplitude propagator
+        # 4x4 generator replaced the 2x2 amplitude propagator, and again when
+        # uniform grids went from step-by-step propagation to propagator
+        # powers: ell_q moved by at most 1.9e-15 of its maximum
         out = tmp_path / "lq.csv"
         argv = ["baseline", "--omega", "3.33", "--horizon", "20", "--no-timestamp"]
         assert cli.main([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "8fe1ae88c6b0c3cae8c49c252063eaf2ce277606842249516f58fa848eb37972"
+            "bbe2154efe1dd2cbe061985d89f11b263f4a5e89c389e27d745de0343e1ce0e8"
         )
 
     def test_fig1_files_unchanged(self, tmp_path):
@@ -146,7 +148,10 @@ class TestBaselineCommand:
         # recorded before integrate and delay_function shared one stepping
         # loop; panel b is the overdamped case.  Panel a was re-recorded when
         # the moments' panel sums left the BLAS dot: its mean_kolmogorov moved
-        # by 1.6e-16 relative
+        # by 1.6e-16 relative.  Both were re-recorded when uniform grids went
+        # to propagator powers: ell_baseline moved by at most 2.7e-15 (a) and
+        # 8.8e-16 (b) of its maximum, mean_baseline by 8.3e-15 and 1.5e-15
+        # relative, l1_distance by 3.5e-15 and 4.6e-16
         argv = ["fig1", "--panel", "both", "--no-timestamp"]
         assert cli.main([*argv, "--out", str(tmp_path / "fig1.csv")]) == 0
         digests = {
@@ -154,8 +159,8 @@ class TestBaselineCommand:
             for panel in "ab"
         }
         assert digests == {
-            "a": "a4b9e87a14e64df7af8a79337ec95547d91aed7c51519bde29fa77a760ea1cb2",
-            "b": "86031e61e74dc5db7ebbf8105eb8f924baa1cdc6dfb1691c6998208b11a1a6ae",
+            "a": "7e117711712d9aad842bf9dd8829becb4cbf7f073591d21dd3318ae1168b2803",
+            "b": "4e3aaf8cb1a252783394f2cf165efaf9129236ff4f2d68d56d7dd7b98f058a8d",
         }
 
 

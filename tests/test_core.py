@@ -289,6 +289,13 @@ class TestClosedFormsUnchanged:
                 ]
         assert sha256_of(values) == CAP_DIGESTS["moments"]
 
+    def test_gauss_legendre_rule_is_numpys(self):
+        # the moments' rule is numpy's leggauss(32), written out (bit for bit
+        # at numpy 2.4) so that the runtime loads no numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        np.testing.assert_array_max_ulp(core._GL_NODES, nodes, maxulp=2)
+        np.testing.assert_array_max_ulp(core._GL_WEIGHTS, weights, maxulp=2)
+
     def test_moments_do_not_depend_on_blas_threads(self):
         # OpenBLAS splits a long dot product across its threads, which moves
         # the last bits of a sum; the moments must give the same bits anyway
@@ -469,6 +476,22 @@ class TestInputContracts:
                     assert re.search(r"\bomega\b", str(e)), e
             if fits and LOG_MIN <= log_scale < LOG_MAX:
                 assert scale(p) == pytest.approx(math.exp(log_scale), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        omega=st.floats(1e-9, 0.1),
+        gamma=st.floats(0.0, sys.float_info.min, exclude_min=True, exclude_max=True),
+    )
+    # gamma/omega is subnormal, gamma/omega^2 normal: once 2.0e-10 off
+    @example(omega=1.02e-8, gamma=1.5e-323)
+    def test_dressed_scale_of_subnormal_gamma(self, omega, gamma):
+        # within 1e-12 of the exact rational gamma/omega^2 wherever that is normal
+        exact = float(Fraction(gamma) / Fraction(omega) ** 2)
+        scale = core.dressed_delay_scale(ModelParams(omega, gamma))
+        if exact >= sys.float_info.min:
+            assert scale == pytest.approx(exact, rel=1e-12)
+        else:
+            assert scale == pytest.approx(exact, rel=0, abs=sys.float_info.min * 1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

@@ -35,6 +35,28 @@ def test_import_loads_no_scipy():
     )
 
 
+def test_closed_forms_and_baseline_load_no_numpy_polynomial():
+    # importing numpy.polynomial costs about 5 ms on a first evaluation
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from qjump import baseline, core\n"
+        "p = core.ModelParams(3.33, 1.0)\n"
+        "core.waiting_time_density(np.linspace(0.0, 10.0, 101), p)\n"
+        "core.mean_waiting_time(p)\n"
+        "baseline.delay_function(p, np.linspace(0.0, 10.0, 101))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_runtime_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

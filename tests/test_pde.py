@@ -251,6 +251,25 @@ class TestSolve:
         assert dists[-1] < 0.02
         assert dists[-1] < dists[0]
 
+    @pytest.mark.parametrize(
+        "omega, theta0", [(1.0 / 6.0, 0.0), (3.33, 0.0), (0.0, math.pi / 4), (0.0, 0.0)]
+    )
+    def test_point_mass_is_zero_once_not_normal(self, omega, theta0):
+        # the transport benchmark's 10^5-step solve at omega/gamma = 1/6: the
+        # full running product goes subnormal at step 19 222 and never reaches 0
+        p = ModelParams(omega, 1.0, theta0)
+        dt = pde.max_stable_dt(p, ThetaGrid(256))
+        angle = theta0 + 0.5 * omega * np.linspace(0.0, 100_000 * dt, 100_001)
+        point = pde._point_mass(angle, dt, p)
+        full = np.cumprod(np.append(1.0, np.exp(-pde._hazard_integrals(angle, dt, p))))
+        tiny = np.finfo(float).tiny
+        normal = full >= tiny
+        assert not np.any((point > 0.0) & (point < tiny))
+        assert np.array_equal(point[normal], full[normal])
+        assert np.all(point[~normal] == 0.0)
+        if omega == 1.0 / 6.0:
+            assert np.flatnonzero(~normal)[0] == 19_222 and full[-1] > 0.0
+
     def test_rejects_bad_t_end(self):
         p = ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):
