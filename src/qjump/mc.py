@@ -1,8 +1,14 @@
 """Event-driven Monte Carlo trajectories by Poisson thinning.
 
-Candidate events are proposed at the constant majorant rate gamma (both
-hazards are bounded by gamma) and accepted with probability hazard/gamma
-evaluated at the drifted angle, so event times carry no discretization bias.
+Candidate events are proposed at a majorant of the hazard and accepted with
+probability hazard/majorant at the drifted angle, so event times carry no
+discretization bias (Lewis and Shedler 1979; Ogata 1981).  The majorant is
+gamma (both hazards are at most gamma).  Below gamma, a segment that starts
+at theta = 0 at t0 (a reset, or theta0 = 0), where theta = y = omega*(t - t0)/2,
+is thinned against gamma*min(1, y^2p) >= gamma*sin^2p(y), with p = 1 (literal)
+or 2 (emission).  Its clock G(y) = int_0^y min(1, s^2p) ds is y^q/q up to 1,
+q = 2p + 1, and inverts in closed form; at omega/gamma = 1/6 that draws a
+sixth of the candidates.
 One kernel advances many lanes at once: each round draws one array per
 variate, sized to the lanes still active, and updates their compacted clock,
 phase and (with several lanes) reachable lane time; only the jumps' index
@@ -89,6 +95,14 @@ def _lane_starts(span, ids, t, stop, lanes):
     return start.ravel()
 
 
+def _clock_step(params, q):
+    """Advance of the majorant clock z = q*G(y) per unit exponential draw.
+
+    0 where every candidate comes at gamma: at omega >= gamma, or where the
+    step underflows (omega/2 = 0)."""
+    return q * (0.5 * params.omega) / params.gamma if params.omega < params.gamma else 0.0
+
+
 def _kernel(params, semantics, horizon, rng, n, record=True):
     """Thinning on n trajectories at once, each run as renewal lanes.
 
@@ -110,17 +124,36 @@ def _kernel(params, semantics, horizon, rng, n, record=True):
     # the hazard is identically zero once omega = 0 and theta = 0
     ids = np.arange(size if omega != 0.0 or params.theta0 != 0.0 else 0)
     t, ph, rounds = np.zeros(ids.size), phase[ids], 0  # state of the active lanes
+    q = 3 if literal else 5  # 2p + 1
+    step = _clock_step(params, q)
+    weak = step > 0
+    if weak:  # cap = 0 marks a lane still on its theta0 segment, thinned at gamma
+        z, t0, cap = lane = np.zeros((3, ids.size))
+        cap[ph == 0.0] = 1.0
     while ids.size:
         if every and rounds % LANE_SPAN == 0:  # lane time that can reach H
             need = horizon - _lane_starts(span, ids, t, stop, lanes)[ids]
         m, rounds = ids.size, rounds + 1
         e = rng.exponential(size=m)
-        t += np.divide(e, gamma, out=e)
+        if weak:  # z is y^q up to 1, then 1 + q*(y - 1); on a theta0 segment y = z/q
+            z += np.multiply(e, step, out=e)
+            y = np.minimum(z, cap)
+            y = (np.cbrt(y) if literal else y**0.2) + (z - y) / q
+            with np.errstate(over="ignore"):  # an infinite t lies past H
+                t = t0 + y / half
+            fresh = 1.0 - cap
+        else:
+            t += np.divide(e, gamma, out=e)
         back = t * -half  # the phase that a jump now sets
-        s2 = np.sin(ph - back)
+        s2 = np.sin(fresh * ph + y if weak else ph - back)
         np.square(s2, out=s2)
         live = t < (need if every else horizon)
-        jump = rng.random(m) < (s2 if literal else np.square(s2, out=s2))
+        accept = rng.random(m)
+        if weak:  # the majorant over gamma: min(1, y^2p), or 1 on a theta0 segment
+            bound = np.square(y, out=y)
+            bound = np.minimum(bound if literal else np.square(bound, out=bound), 1.0, out=bound)
+            accept *= np.maximum(bound, fresh, out=bound)
+        jump = accept < (s2 if literal else np.square(s2, out=s2))
         jump &= live
         u = rng.random(m) if literal else None
         j = jump.nonzero()[0]
@@ -136,6 +169,8 @@ def _kernel(params, semantics, horizon, rng, n, record=True):
             buf[rows, c] = v
             counts[rows] = c + 1
         ph[j] = back[j]
+        if weak:
+            z[j], t0[j], cap[j] = 0.0, t[j], 1.0
         keep = live  # a lane ends past H, and at its jump if omega = 0
         if omega == 0.0:
             keep[j] = False
@@ -149,6 +184,8 @@ def _kernel(params, semantics, horizon, rng, n, record=True):
                 phase[ids[gone]] = ph[gone]
             k = keep.nonzero()[0]
             ids, t, ph = ids[k], t[k], ph[k]
+            if weak:
+                z, t0, cap = lane = lane[:, k]
             if every:
                 need = need[k]
     times = buf[np.arange(buf.shape[1]) < counts[:, None]]
@@ -170,7 +207,7 @@ def _kernel(params, semantics, horizon, rng, n, record=True):
 def _run_ensemble(params, semantics, horizon, seed, n, record=True):
     """(times, counts, theta) of n trajectories, BLOCK per stream.
 
-    About gamma * horizon * n candidates are drawn, at most MAX_STEPS."""
+    At most about gamma * horizon * n candidates are drawn (MAX_STEPS)."""
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if not isinstance(n, (int, np.integer)) or n < 1:

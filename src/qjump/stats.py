@@ -153,7 +153,9 @@ def l1_distance(a: DelayDistribution, b: DelayDistribution) -> float:
     for name, dist in (("a", a), ("b", b)):
         if not dist.integral() > 0:
             raise ValueError(f"curve {name} has zero mass and cannot be normalized")
-    grid = np.union1d(a.tau_grid, b.tau_grid)
+    # np.union1d's sort and distinct-neighbour mask; np.union1d imports numpy.ma
+    grid = np.sort(np.concatenate([a.tau_grid, b.tau_grid]))
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
     an = a.normalized()
     bn = b.normalized()
     fa = np.interp(grid, an.tau_grid, an.density, left=0.0, right=0.0)

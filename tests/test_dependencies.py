@@ -35,17 +35,11 @@ def test_import_loads_no_scipy():
     )
 
 
-def test_closed_forms_and_baseline_load_no_numpy_polynomial():
-    # importing numpy.polynomial costs about 5 ms on a first evaluation
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from qjump import baseline, core\n"
-        "p = core.ModelParams(3.33, 1.0)\n"
-        "core.waiting_time_density(np.linspace(0.0, 10.0, 101), p)\n"
-        "core.mean_waiting_time(p)\n"
-        "baseline.delay_function(p, np.linspace(0.0, 10.0, 101))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))\n"
+def _numpy_modules_after(code, subpackage):
+    """Sorted numpy.<subpackage> modules loaded once a fresh process ran `code`."""
+    code += (
+        "\nimport sys\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', {subpackage!r}]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -54,7 +48,32 @@ def test_closed_forms_and_baseline_load_no_numpy_polynomial():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_closed_forms_and_baseline_load_no_numpy_polynomial():
+    # importing numpy.polynomial costs about 5 ms on a first evaluation
+    code = (
+        "import numpy as np\n"
+        "from qjump import baseline, core\n"
+        "p = core.ModelParams(3.33, 1.0)\n"
+        "core.waiting_time_density(np.linspace(0.0, 10.0, 101), p)\n"
+        "core.mean_waiting_time(p)\n"
+        "baseline.delay_function(p, np.linspace(0.0, 10.0, 101))"
+    )
+    assert _numpy_modules_after(code, "polynomial") == "[]"
+
+
+def test_l1_distance_loads_no_numpy_ma():
+    # np.union1d and np.unique import numpy.ma, 11-15 ms on a first call
+    code = (
+        "import numpy as np\n"
+        "from qjump import stats\n"
+        "a = stats.DelayDistribution(np.linspace(0.0, 10.0, 101), np.full(101, 0.1))\n"
+        "b = stats.DelayDistribution(np.linspace(0.0, 8.0, 33), np.full(33, 0.125))\n"
+        "stats.l1_distance(a, b)"
+    )
+    assert _numpy_modules_after(code, "ma") == "[]"
 
 
 def test_runtime_dependencies_are_numpy_alone():

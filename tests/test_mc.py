@@ -53,12 +53,15 @@ class TestEnsembleInputs:
             with pytest.raises(ValueError, match="seed"):
                 ensemble(p, LITERAL, 5.0, seed, 4)
 
+    # omega 5e-324 halves to 0, 1e-300 and 1e-3 thin against the weak-drive
+    # majorant; a RuntimeWarning (0/0, overflow) is an error here
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(
         entry=st.sampled_from(["ensemble_records", "ensemble_theta_at"]),
         semantics=st.sampled_from([LITERAL, EMISSION]),
-        omega=st.sampled_from([0.0, 0.5, 3.33]),
-        theta0=st.sampled_from([0.0, 0.7]),
+        omega=st.sampled_from([0.0, 5e-324, 1e-300, 1e-3, 0.5, 3.33]),
+        theta0=st.sampled_from([0.0, 0.7, -1.2]),
         # 1e8 and 1e300 put gamma * horizon * n past MAX_STEPS
         horizon=st.one_of(
             st.floats(-5.0, 20.0),
@@ -374,8 +377,9 @@ class TestRenewalLanes:
         rng = CountingRng(16)
         times, counts, theta = mc._kernel(p, semantics, horizon, rng, n)
         assert rng.candidates < 8 * n * p.gamma * horizon
-        # drawn before the kernel's round loop was slimmed: the same draws
-        assert rng.candidates == {LITERAL: 59_380, EMISSION: 59_324}[semantics]
+        # every segment starts at theta = 0 and is thinned against the weak-drive
+        # majorant (59 380 and 59 324 candidates at the constant rate gamma)
+        assert rng.candidates == {LITERAL: 57, EMISSION: 57}[semantics]
         assert np.all(np.isfinite(times)) and np.all(np.isfinite(theta))
         assert counts.shape == (n,) and counts.sum() == times.size
         assert np.all((-math.pi / 2 <= theta) & (theta < math.pi / 2))
@@ -387,6 +391,65 @@ class TestRenewalLanes:
         times = mc.ensemble_records(p, semantics, horizon, 17, 1).times
         assert times.size > 100
         assert np.all(np.diff(times) > 0) and 0 < times[0] and times[-1] < horizon
+
+
+def at_rate_gamma(monkeypatch):
+    """Make the kernel thin every candidate at the constant rate gamma."""
+    monkeypatch.setattr(mc, "_clock_step", lambda params, q: 0.0)
+
+
+class TestWeakDriveMajorant:
+    # below gamma, segments from theta = 0 are thinned against
+    # gamma*min(1, y^2p); seeds fixed once, and p > 1e-3 as above
+
+    @pytest.mark.parametrize("ratio", [1 / 6, 1 / 2])
+    def test_emission_intervals_follow_waiting_time_law(self, ratio):
+        # origin-anchored intervals, as in criterion 4
+        p, horizon, n = ModelParams(ratio, 1.0), 3000.0, 16
+        assert mc._clock_step(p, 5) > 0 and n_lanes(p, horizon, n) == 11
+        recs = mc.ensemble_records(p, EMISSION, horizon, 2027, n)
+        gaps = mc.interarrival_samples(recs, origin_anchored=True)
+        assert gaps.size > 3000
+        rep = stats.ks_test(gaps, lambda x: core.waiting_time_cdf(x, p))
+        assert rep.p_value > 1e-3
+
+    @pytest.mark.parametrize("ratio", [1 / 6, 1 / 2])
+    def test_literal_gaps_match_rate_gamma(self, ratio, monkeypatch):
+        p, horizon, n = ModelParams(ratio, 1.0), 3000.0, 16
+        weak = mc.interarrival_samples(mc.ensemble_records(p, LITERAL, horizon, 21, n))
+        at_rate_gamma(monkeypatch)
+        flat = mc.interarrival_samples(mc.ensemble_records(p, LITERAL, horizon, 22, n))
+        assert min(weak.size, flat.size) > 1000
+        assert ks_2samp(weak, flat).pvalue > 1e-3
+
+    @pytest.mark.parametrize("theta0, horizon", [(0.7, 4.0), (-1.2, 40.0)])
+    def test_literal_angles_match_rate_gamma(self, theta0, horizon, monkeypatch):
+        # lane 1 runs its theta0 segment at gamma, then resets onto the majorant
+        p, n = ModelParams(0.5, 1.0, theta0), 20_000
+        weak = mc.ensemble_theta_at(p, LITERAL, horizon, 23, n)
+        at_rate_gamma(monkeypatch)
+        flat = mc.ensemble_theta_at(p, LITERAL, horizon, 24, n)
+        assert ks_2samp(weak, flat).pvalue > 1e-3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("semantics", [LITERAL, EMISSION], ids=lambda s: s.name)
+    def test_overflowing_reset_time_ends_the_lane(self, semantics):
+        # omega/2 = 5e-321 and gamma = 1e-300: the first candidate after a
+        # reset lies past the largest float, an infinite time past H
+        p, horizon = ModelParams(1e-320, 1e-300, 0.7), 1e301
+        rec = mc.ensemble_records(p, semantics, horizon, 3, 5)
+        theta = mc.ensemble_theta_at(p, semantics, horizon, 3, 5)
+        assert np.all(np.isfinite(rec.times)) and np.all(np.isfinite(theta))
+
+    def test_panel_b_draws_under_a_quarter_of_the_candidates(self, monkeypatch):
+        # the waiting_time benchmark's panel-b emission ensemble, one block
+        p, horizon, n = ModelParams(1 / 6, 1.0), 40_000.0, 40
+        weak, flat = CountingRng(7), CountingRng(7)
+        mc._kernel(p, EMISSION, horizon, weak, n)
+        at_rate_gamma(monkeypatch)
+        mc._kernel(p, EMISSION, horizon, flat, n)
+        assert flat.candidates > 0.9 * n * p.gamma * horizon
+        assert weak.candidates <= flat.candidates / 4
 
 
 # sha256 of the float64 bytes of (times, offsets, theta) and of a CLI file,
