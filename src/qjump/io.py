@@ -17,6 +17,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+# rows that write_csv converts and writes at a time: one write of the whole
+# body held several copies of it in memory at once
+_CSV_ROWS = 256
+
 
 def config_header_lines(config: dict, timestamp: bool = True) -> list[str]:
     lines = []
@@ -42,12 +46,14 @@ def write_csv(
     if len({a.shape for a in arrays}) != 1:
         raise ValueError("all columns must have the same length")
     _check_names(config, scalars)
+    header = [*config_header_lines({**config, **scalars}, timestamp), ",".join(names)]
     with open(path, "w", newline="\n") as fh:
-        for line in config_header_lines({**config, **scalars}, timestamp):
-            fh.write(line + "\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for start in range(0, len(arrays[0]), _CSV_ROWS):
+            # repr(float(v)) of every value, a column slice at a time
+            rows = slice(start, start + _CSV_ROWS)
+            cells = [map(repr, map(float, a[rows].tolist())) for a in arrays]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def write_json(

@@ -20,7 +20,11 @@ are i.i.d.  A block of n trajectories with horizon H runs each as
 max(1, min(ceil(BLOCK/n), floor(gamma*H/LANE_SPAN))) lanes, one if omega = 0.
 Lane 1 starts at theta0, the others at 0; each stops at its first jump past
 H/lanes, or once the rest of it would lie past H.  Put end to end in order
-and cut at H, the lanes have the law of one run to H.
+and cut at H, the lanes have the law of one run to H.  Stitching adds each
+lane's start to its recorded times in place; a trajectory's lanes are
+adjacent and its stitched times increase, so its jumps before H are a prefix
+of its slice, and the slice bounds give its count and last jump without a
+per-event owner array.
 
 One stream rule: block b of an ensemble, BLOCK trajectories, draws all its
 lanes from np.random.default_rng((seed, b)).  An ensemble of n is not a
@@ -65,14 +69,11 @@ class Emissions:
                 and off[-1] == t.size and np.all(np.diff(off) >= 0)):
             raise ValueError("offsets must rise from 0 to the number of times")
         inside = np.all((t > 0) & (t <= t_end))
-        if not (inside and np.all(np.diff(t)[self._inner()] > 0)):
+        first = np.zeros(t.size + 1, dtype=bool)
+        first[off] = True  # times[k] starts a trajectory: it need not exceed times[k - 1]
+        rise = t[1:] > t[:-1]
+        if not (inside and np.all(np.logical_or(rise, first[1:-1], out=rise))):
             raise ValueError("emission times must lie in (0, t_end] and increase")
-
-    def _inner(self):
-        """Mask of the np.diff(times) entries within one trajectory."""
-        inner = np.ones(self.times.size + 1, dtype=bool)
-        inner[self.offsets] = False  # times[k] starts a trajectory
-        return inner[1:-1]
 
     def __len__(self):
         return self.offsets.size - 1
@@ -193,15 +194,32 @@ def _kernel(params, semantics, horizon, rng, n, record=True):
     if not every:
         return times, counts, reduce_angle(phase + half * horizon)
     start = _lane_starts(span, ids, t, stop, lanes)
-    t = np.abs(times)
+    sent = times > 0  # lanes record a silent jump as -t
+    t = np.abs(times, out=times)
     t += np.repeat(start, counts)
-    owner, inside = np.repeat(np.arange(size) // lanes, counts), t < horizon
-    jumps = np.bincount(owner[inside], minlength=n)
+    # a trajectory's lanes are adjacent rows and its stitched times increase,
+    # so its jumps before H are a prefix of its slice of the table
+    events = counts.reshape(n, lanes).sum(axis=1)
+    first = np.cumsum(events) - events
+    inside = t < horizon
+    jumps = _segment_sums(inside, first, events)
     phase = np.full(n, float(params.theta0))  # the angle at H follows the last jump
-    phase[jumps > 0] = -half * t[inside][np.cumsum(jumps)[jumps > 0] - 1]
-    keep = inside & (times > 0)
+    last = jumps > 0
+    phase[last] = -half * t[(first + jumps - 1)[last]]
     theta = reduce_angle(phase + half * horizon)
-    return np.copysign(t, times, out=t)[keep], np.bincount(owner[keep], minlength=n), theta
+    keep = np.logical_and(inside, sent, out=inside)
+    emitted = _segment_sums(keep, first, events)  # before t[keep]: reduceat copies keep as intp
+    return t[keep], emitted, theta
+
+
+def _segment_sums(mask, first, size):
+    """Trues of `mask` in each slice mask[first[i]:first[i] + size[i]], which tile it."""
+    sums = np.zeros(size.size, dtype=np.intp)
+    # reduceat reads an empty slice as the element at its start, and refuses a
+    # start equal to mask.size, so only the nonempty slices are passed
+    full = size > 0
+    sums[full] = np.add.reduceat(mask, first[full], dtype=np.intp)
+    return sums
 
 
 def _run_ensemble(params, semantics, horizon, seed, n, record=True):
@@ -223,6 +241,8 @@ def _run_ensemble(params, semantics, horizon, seed, n, record=True):
     rngs = [np.random.default_rng((seed, b)) for b in range(-(-n // BLOCK))]
     sizes = [min(BLOCK, n - b * BLOCK) for b in range(len(rngs))]
     parts = [_kernel(params, semantics, horizon, r, m, record) for r, m in zip(rngs, sizes)]
+    if len(parts) == 1:  # no copy of a one-block ensemble
+        return parts[0]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -260,11 +280,13 @@ def interarrival_samples(emissions: Emissions, origin_anchored=False) -> np.ndar
     t=0 by construction (trajectory started at theta=0).  Intervals censored
     by the horizon are discarded.
     """
-    gaps = np.diff(emissions.times)[emissions._inner()]
-    if origin_anchored:
-        starts = emissions.offsets[:-1][np.diff(emissions.offsets) > 0]
-        gaps = np.concatenate([emissions.times[starts], gaps])
-    return np.sort(gaps)
+    t, off = emissions.times, emissions.offsets
+    gaps = t.copy()
+    gaps[1:] -= t[:-1]
+    starts = off[:-1][off[:-1] < off[1:]]  # first time of each trajectory with one
+    gaps[starts] = t[starts] if origin_anchored else np.inf  # inf sorts past every gap
+    gaps.sort()
+    return gaps if origin_anchored else gaps[: gaps.size - starts.size]
 
 
 def ever_emitted_fraction(emissions: Emissions) -> float:

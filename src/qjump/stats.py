@@ -9,6 +9,7 @@ import numpy as np
 
 _KINDS = ("analytic", "empirical", "baseline")
 MASS_TOL = 1e-3
+_KS_CHUNK = 1 << 14  # samples per cdf call in ks_test
 
 
 def _finite(name, values):
@@ -77,16 +78,27 @@ class KsReport:
 
 
 def ks_test(samples, cdf) -> KsReport:
-    """One-sample Kolmogorov-Smirnov test with the asymptotic p-value."""
-    samples = np.sort(np.asarray(samples, dtype=float))
+    """One-sample Kolmogorov-Smirnov test with the asymptotic p-value.
+
+    `cdf` is called on consecutive chunks of the sorted samples, so it must
+    act elementwise.  Sorted samples are not copied.
+    """
+    samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n < 10:
         raise ValueError(f"ks_test needs at least 10 samples, got {n}")
-    if not np.isfinite(samples).all() or samples[0] < 0:
+    if not np.all(samples[1:] >= samples[:-1]):  # NaN fails it
+        samples = np.sort(samples)
+    # sorted, with any NaN last: the ends alone can be negative or non-finite
+    if not (samples[0] >= 0 and samples[-1] < np.inf):
         raise ValueError("samples must be finite and nonnegative")
-    f = _finite("cdf", cdf(samples))
-    grid = np.arange(n + 1) / n
-    stat = float(max(np.max(grid[1:] - f), np.max(f - grid[:-1])))
+    stat = -np.inf  # max over k of (k + 1)/n - F and F - k/n
+    for a in range(0, n, _KS_CHUNK):
+        x = samples[a : a + _KS_CHUNK]
+        f = _finite("cdf", cdf(x))
+        grid = np.arange(a, a + x.size + 1) / n
+        stat = max(stat, np.max(grid[1:] - f), np.max(f - grid[:-1]))
+    stat = float(stat)
     p = _kolmogorov_sf(np.sqrt(n) * stat)
     return KsReport(statistic=stat, n=n, p_value=p, reject_at_1pct=p < 0.01)
 

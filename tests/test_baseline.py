@@ -263,6 +263,31 @@ class TestPropagatorPowers:
         excited = stepped[:, 1]
         assert np.max(np.abs(powers[:, 1] - excited)) <= 1e-13 * excited.max()
 
+    @pytest.mark.parametrize("path", ["_powers", "_stepwise"])
+    def test_stiff_coarse_steps_hold_the_overdamped_closed_form(self, path):
+        # `qjump baseline --omega 0.001`'s default grid: (omega + gamma) h is
+        # about 1e4.  With gamma > 2 omega, c_e'' + (gamma/2) c_e' +
+        # (omega/2)^2 c_e = 0, c_e(0) = 0 and c_e'(0) = -i omega/2 give
+        # c_e = -i (omega/(4 k)) (e^(s tau) - e^(f tau)), k = sqrt((gamma/4)^2 -
+        # (omega/2)^2), with the roots f = -(gamma/4 + k) and s = (omega/2)^2/f
+        # (their product), so that neither root cancels; e^(s tau) - e^(f tau)
+        # = -e^(s tau) expm1(-2 k tau)
+        p = ModelParams(0.001, 1.0)
+        tau = np.linspace(0.0, baseline.delay_tail_cutoff(p), 2000)
+        h = tau[-1] / (tau.size - 1)
+        assert (p.omega + p.gamma) * h > 1e4
+        k = math.sqrt((0.25 * p.gamma) ** 2 - (0.5 * p.omega) ** 2)
+        s = (0.5 * p.omega) ** 2 / -(0.25 * p.gamma + k)
+        amplitude = (0.25 * p.omega / k) * np.exp(s * tau) * np.expm1(-2.0 * k * tau)
+        oracle = p.gamma * amplitude**2
+        generator = baseline._generator(p, 0.0)
+        if path == "_powers":
+            states = baseline._powers(generator, GROUND, h, tau.size - 1)
+        else:
+            states = baseline._stepwise(generator, GROUND, np.diff(tau).tolist())
+        # MAX_STEP_NORM's documented round-off, relative to the maximum
+        assert np.max(np.abs(p.gamma * states[:, 1] - oracle)) <= 1e-9 * oracle.max()
+
     @pytest.mark.parametrize(
         "span, points, moved, path",
         [

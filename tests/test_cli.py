@@ -439,6 +439,23 @@ def test_writers_refuse_a_scalar_named_like_a_config_key(tmp_path, writer):
     assert not out.exists()
 
 
+def test_csv_cells_are_repr_of_float(tmp_path):
+    # every cell is repr(float(v)), row by row: the shortest string that
+    # reads back to the same double; the rows span three of the writer's
+    # slices
+    values = [-0.0, 5e-324, 0.1, 1e-5, 1e16, 3.0, -7.0, 2.0**53, 0.0]
+    x = np.concatenate([values, np.random.default_rng(0).normal(size=2 * io._CSV_ROWS)])
+    columns = {"x": x, "n": np.arange(x.size), "f": np.float32(x)}
+    out = tmp_path / "x.csv"
+    io.write_csv(out, columns, {"s": 1}, {"command": "t"}, timestamp=False)
+    rows = zip(*columns.values())
+    expected = "# command=t\n# s=1\nx,n,f\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows
+    )
+    assert out.read_bytes() == expected.encode()
+    assert out.read_text().splitlines()[3] == "-0.0,0.0,-0.0"
+
+
 def argv_from_csv_header(path):
     """Flags that rerun a CSV output, read from its '# key=value' header."""
     header = dict(line[2:].split("=", 1) for line in read_lines(path)

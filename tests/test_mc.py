@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import re
@@ -569,3 +570,98 @@ def test_memory_peaks_do_not_grow():
     theta = lambda: mc.ensemble_theta_at(ModelParams(3.33, 1.0), LITERAL, 5.0, 99, 100_000)
     assert traced_peak(panel_b) <= PARENT_PEAKS["panel_b_records"]
     assert traced_peak(theta) <= PARENT_PEAKS["theta_1e5"]
+
+
+# The waiting_time benchmark's emission ensembles (seed 7): omega, horizon and
+# trajectories per panel; panel b holds 1.6e5 origin-anchored gaps
+EMISSION_PANELS = {"a": (3.33, 10_000.0, 20), "b": (1.0 / 6.0, 40_000.0, 40)}
+# recorded before lane stitching, the table check, the gaps and ks_test lost
+# their per-event temporaries: float.hex of each panel's KS statistic and
+# p-value on its origin-anchored gaps, sha256 of its gaps in both modes
+# (origin_anchored False, True), and sha256 of (times, offsets, theta) of
+# seven-lane blocks that end in trajectories with no emission
+KS_HEX = {
+    "a": ("0x1.2ca06cf222200p-8", "0x1.761239d2b5206p-4"),
+    "b": ("0x1.6f946d2f1fb00p-10", "0x1.d2fb1e47f2564p-1"),
+}
+GAP_DIGESTS = {
+    ("a", False): "8db2a110c2d4449d5322bcaa784193c16058a8c6e4425e55f2a41812f2e964fe",
+    ("a", True): "455e6ad3f46f8f4dd25044b18a39e0bc69ab6b9d87a50be61b0e96505a5a66a5",
+    ("b", False): "e216636124933acc0ad473e65241d81a7e7b38f7aaa4e460abd02a18bd52d5bf",
+    ("b", True): "db2cd269a1d9bd8654ddd37e2f71c5c971d228cf50de10347d973ea5da00f5b8",
+}
+# (omega, semantics, seed, emissions per trajectory, digest), horizon 2000, n = 8
+EMPTY_TAIL_RUNS = {
+    "literal": (2e-3, LITERAL, 12, [2, 2, 1, 0, 0, 0, 0, 0],
+                "88f7e9871c6b9f877f45179a59535df6e1c4f1d6466575097e800f918844cd39"),
+    "emission": (2e-4, EMISSION, 3, [1, 1, 1, 0, 1, 0, 0, 0],
+                 "ddda93e026386ad7b14eabcb796ac04ff36d412e943e57d3de864ec66a473c08"),
+    # silent jumps move every angle, and no lane records an emission
+    "silent_only": (2e-4, LITERAL, 0, [0] * 8,
+                    "1c7fbf07205c27c0cdf9707e374635033a0bf6761a381de9cf47d47be8dae1a1"),
+    # no lane jumps at all
+    "no_jump": (1e-7, EMISSION, 5, [0] * 8,
+                "2ad07b3b0cc961d0dd565358feb7cf47debfd6740908c554c898b7a397a3c2c1"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def emission_panel(key):
+    omega, horizon, n = EMISSION_PANELS[key]
+    p = ModelParams(omega, 1.0)
+    return p, mc.ensemble_records(p, EMISSION, horizon, 7, n)
+
+
+class TestEmissionPathBitIdentity:
+    @pytest.mark.parametrize("key", list(EMISSION_PANELS))
+    def test_ks_report_unchanged(self, key):
+        p, recs = emission_panel(key)
+        gaps = mc.interarrival_samples(recs, origin_anchored=True)
+        rep = stats.ks_test(gaps, lambda x: core.waiting_time_cdf(x, p))
+        assert (rep.statistic.hex(), rep.p_value.hex()) == KS_HEX[key]
+
+    @pytest.mark.parametrize("key, anchored", list(GAP_DIGESTS))
+    def test_gaps_unchanged(self, key, anchored):
+        gaps = mc.interarrival_samples(emission_panel(key)[1], origin_anchored=anchored)
+        assert sha256_of(gaps) == GAP_DIGESTS[key, anchored]
+
+    @pytest.mark.parametrize("name", list(EMPTY_TAIL_RUNS))
+    def test_lane_block_ending_in_empty_trajectories(self, name):
+        omega, semantics, seed, sizes, digest = EMPTY_TAIL_RUNS[name]
+        p = ModelParams(omega, 1.0)
+        assert n_lanes(p, 2000.0, 8) == 7
+        rec = mc.ensemble_records(p, semantics, 2000.0, seed, 8)
+        theta = mc.ensemble_theta_at(p, semantics, 2000.0, seed, 8)
+        assert np.diff(rec.offsets).tolist() == sizes
+        assert sha256_of(rec.times, rec.offsets, theta) == digest
+
+
+def test_ks_test_sorts_a_copy_of_unsorted_samples():
+    p, recs = emission_panel("a")
+    gaps = mc.interarrival_samples(recs, origin_anchored=True)
+    shuffled = np.random.default_rng(3).permutation(gaps)
+    before = shuffled.copy()
+    rep = stats.ks_test(shuffled, lambda x: core.waiting_time_cdf(x, p))
+    assert (rep.statistic.hex(), rep.p_value.hex()) == KS_HEX["a"]
+    assert np.array_equal(shuffled, before)
+
+
+# tracemalloc peaks, measured on a second call in the process (a first call
+# there peaks higher): the panel-b emission ensemble read
+# 6.87e6 bytes before lane stitching lost its per-event temporaries and 4.85e6
+# after, where the doubling time buffer sets it; ks_test read 6.63e6 and
+# 0.79e6, and the gaps 2.72e6 and 1.28e6 (one copy of the times)
+def test_emission_path_memory():
+    p, recs = emission_panel("b")
+    run = lambda: mc.ensemble_records(p, EMISSION, 40_000.0, 7, 40)
+    run()
+    assert traced_peak(run) <= 5.2e6
+    gaps = mc.interarrival_samples(recs, origin_anchored=True)
+    assert gaps.size > 1.5e5
+    extra = 64e3  # small arrays: one entry per trajectory, array headers
+    assert traced_peak(lambda: mc.interarrival_samples(recs, origin_anchored=True)) <= (
+        gaps.nbytes + extra
+    )
+    cdf = lambda x: core.waiting_time_cdf(x, p)
+    # sorted samples are not copied, and the cdf sees a chunk at a time
+    assert traced_peak(lambda: stats.ks_test(gaps, cdf)) < gaps.nbytes

@@ -66,6 +66,22 @@ class TestKsTest:
         d2 = stats.ks_test(x**2, lambda v: 1.0 - np.exp(-np.sqrt(v))).statistic
         assert d1 == pytest.approx(d2, abs=1e-12)
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * stats._KS_CHUNK + 5])
+    def test_chunks_give_the_whole_array_statistic(self, extra):
+        # the statistic as one pass over all samples computes it
+        x = np.random.default_rng(extra + 10).exponential(size=stats._KS_CHUNK + extra)
+        f = 1.0 - np.exp(-np.sort(x))
+        grid = np.arange(x.size + 1) / x.size
+        whole = max(np.max(grid[1:] - f), np.max(f - grid[:-1]))
+        assert stats.ks_test(x, lambda v: 1.0 - np.exp(-v)).statistic == whole
+
+    def test_nan_in_a_later_chunk_names_cdf(self):
+        x = np.sort(np.random.default_rng(4).exponential(size=2 * stats._KS_CHUNK + 7))
+        bad = x[stats._KS_CHUNK + 5]  # in the second chunk
+        cdf = lambda v: np.where(v == bad, np.nan, 1.0 - np.exp(-v))  # noqa: E731
+        with pytest.raises(ValueError, match=r"\bcdf\b"):
+            stats.ks_test(x, cdf)
+
 
 # ks_test p-values of seeded exponential samples, as scipy.special.kolmogorov
 # gave them: (seed, size, rate of the tested cdf) -> p-value
