@@ -12,17 +12,15 @@ Markov-chain approximation in the sense of Kushner and Dupuis; `StepOperator`
 holds it and applies it as a stencil.  `solve` starts from a point mass at
 params.theta0 and ends exactly at t_end.  Its snapshots are the rows of one
 table, checked once and handed out as `ProbabilityField` views.  A solve long
-enough for dense powers of A to pay advances in blocks of B steps, B chosen
-from the snapshot stride, the step count and the grid size, in the manner of
-ParaExp-style time parallelism (Gander and Guettel, SIAM J. Sci. Comput. 35,
-C123 (2013)), here in its exact linear form: one short loop of
-matrix-vector products with A^B gives every block start, and the states and
-populations in between come from batched work over all the blocks at once.
-With a snapshot every step (the fill), B - 1 stencil steps over the stack of
-block starts give every state.  With a sparser stride (the blocks), a few
-matrix products give the population at every step from the block starts
-and the source forcing.  A solve too short for the powers to pay runs the
-stencil one state at a time.
+enough for dense powers of A to pay, from (n / BREAK_EVEN_CELLS)^3 steps on n
+cells, advances in blocks of B ~ sqrt(n_steps) steps, as in ParaExp (Gander
+and Guettel, SIAM J. Sci. Comput. 35, C123 (2013)) in exact linear form: a
+short loop of matrix-vector products with A^B gives every block start, and
+batched work over all the blocks gives the rest.  With a snapshot every step
+(the fill), B - 1 stencil steps over the stack of block starts give every
+state; with a sparser stride (the blocks), a few matrix products give the
+population at every step from the block starts and the source forcing.  A
+shorter solve runs the stencil one state at a time.
 """
 
 from __future__ import annotations
@@ -38,23 +36,12 @@ from .core import HALF_PI, ModelParams, reduce_angle, time_steps
 DEFAULT_N_CELLS = 256
 DEFAULT_CFL = 0.5
 MAX_GAMMA_DT = 0.1
-# Block-size cost model, in dense multiply-adds (about 0.05 ns each with a
-# single-threaded BLAS; the fits are in BENCH_pde_fill.json and
-# BENCH_pde_chunked.json): one stencil step, a handful of numpy calls, costs
-# about STENCIL_COST of them (12.5 us), a matrix-vector product about
-# MATVEC_COST per element, a stencil step over a stack of states CELL_COST per
-# cell on top of a stencil step's calls, and one link of the strided blocks'
-# chain of block starts CHAIN_COST (2 us) on top of its matrix-vector product.
-# A block is at most MAX_BLOCK steps, because its forcing's Toeplitz product
-# grows as B^2, and runs on at most MAX_BLOCK_CELLS cells, which keeps the few
-# dense n x n powers it holds under 8 MB each.  The strided blocks run in
-# chunks whose arrays hold about CHUNK_ELEMENTS numbers (1 MB) each.
-STENCIL_COST = 250_000
-MATVEC_COST = 5
-CELL_COST = 150
-CHAIN_COST = 40_000
+# A block is at most MAX_BLOCK steps (its forcing's Toeplitz product grows as
+# B^2) on at most MAX_BLOCK_CELLS cells (each dense n x n power under 8 MB).
+# The strided blocks run in chunks of about CHUNK_ELEMENTS numbers (1 MB) each.
 MAX_BLOCK = 1024
 MAX_BLOCK_CELLS = 1024
+BREAK_EVEN_CELLS = 28  # see _block_size
 CHUNK_ELEMENTS = 2**17
 
 
@@ -240,45 +227,16 @@ def _point_mass(angle, dt, params: ModelParams):
 def _block_size(n_steps, stride, n_cells):
     """Steps per dense block, or 1 to run the stencil step by step.
 
-    Each power of two b up to MAX_BLOCK is priced, and the size with the
-    lowest estimated cost wins.  With a snapshot every stride > 1 steps,
-    blocks end on every snapshot: each gap between snapshots is blocks of
-    b steps and a shorter remainder, or one block if the gap is shorter.
-    With a snapshot every step (stride 1, the fill) the blocks are b steps
-    each, the last one shorter.
-
-    The set-up costs 2 + floor(log2 B) dense n x n products (A and its
-    squarings), plus popcount(L) - 1 for the power of each block length L,
-    each product with about two stencil steps of numpy calls, and B n^2 for
-    each of the two block tables.  In the fill each block costs a stencil step
-    of numpy calls plus a matrix-vector product, and each of its B - 1 steps
-    over the stack of block starts a stencil step plus CELL_COST per cell,
-    n_steps n cells in all.  A strided block costs CHAIN_COST of calls and a
-    matrix-vector product in the chain of block starts, and 2 B n + B^2
-    multiply-adds in the chunked products (its pushed forcing, and its
-    populations from its start and from its forcing).
+    B is the largest power of two <= sqrt(n_steps), and at most a stride > 1:
+    B-row tables (B n^2) balance n_steps / B chain links (n^2 each) there.
+    With W = BREAK_EVEN_CELLS the stencil runs when n_steps or B n is below
+    (n / W)^3: a dense product costs about n^3, and a link n^2 per B steps.
     """
-    best, best_cost = 1, n_steps * STENCIL_COST
-    if n_cells > MAX_BLOCK_CELLS:
-        return best
-    fill = stride == 1
-    gap = n_steps if fill else min(stride, n_steps)
-    b = 1
-    while b < min(gap, MAX_BLOCK):
-        b *= 2
-        if fill:
-            size, lengths, n_blocks = b, {b}, n_steps // b
-            cost = n_blocks * (STENCIL_COST + MATVEC_COST * n_cells**2)
-            cost += (size - 1) * STENCIL_COST + n_steps * n_cells * CELL_COST
-        else:
-            size = min(b, gap)
-            lengths, n_blocks = _strided_blocks(n_steps, stride, size)
-            cost = n_blocks * (CHAIN_COST + MATVEC_COST * n_cells**2 + size * (2 * n_cells + size))
-        products = 2 + int(math.log2(size)) + sum(bin(n).count("1") - 1 for n in lengths)
-        cost += products * (n_cells**3 + 2 * STENCIL_COST) + 2 * size * n_cells**2
-        if cost < best_cost:
-            best, best_cost = size, cost
-    return best
+    size = min(1 << (math.isqrt(n_steps).bit_length() - 1), MAX_BLOCK)
+    size = size if stride == 1 else min(size, stride)
+    if n_cells > MAX_BLOCK_CELLS or min(n_steps, size * n_cells) * BREAK_EVEN_CELLS**3 < n_cells**3:
+        return 1
+    return size
 
 
 def _strided_blocks(n_steps, stride, size):
@@ -440,6 +398,8 @@ def solve(
         snapshot_stride = max(1, n_steps // 100)
     if not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
+    # a longer stride keeps the same two snapshots, and overflows np.divmod
+    snapshot_stride = min(snapshot_stride, n_steps)
     dx, s2 = grid.cell_width, grid.sin2
     times = np.linspace(0.0, t_end, n_steps + 1)
     angle = params.theta0 + 0.5 * params.omega * times

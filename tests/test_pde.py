@@ -329,6 +329,9 @@ class TestSolve:
         ),
     )
     @example(n_cells=16, omega=0.0, gamma=1.0, t_end=1, dt=1.0, theta0=8.98846567431158e307, stride=None)
+    # each overflowed np.divmod in the blocks with an OverflowError
+    @example(n_cells=64, omega=3.33, gamma=1.0, t_end=1500, dt=1.0, theta0=0.3, stride=2**63)
+    @example(n_cells=64, omega=3.33, gamma=1.0, t_end=1500, dt=1.0, theta0=0.3, stride=10**30)
     def test_finite_output_or_named_error(self, n_cells, omega, gamma, t_end, dt, theta0, stride):
         try:
             p = ModelParams(omega, gamma, theta0)
@@ -343,6 +346,19 @@ class TestSolve:
         assert np.isfinite(r.rho0).all() and np.isfinite(r.rho1).all()
         assert np.isfinite(r.final.values).all()
         assert all(np.isfinite(s.values).all() for s in r.snapshots)
+
+    @pytest.mark.parametrize("stride", [2001, 10**5, 2**62, 2**63, 10**30])
+    def test_stride_past_the_end_keeps_two_snapshots(self, stride):
+        p, g = ModelParams(3.33, 1.0, 0.3), ThetaGrid(64)
+        dt = pde.max_stable_dt(p, g)
+        want = pde.solve(p, g, 2000 * dt, dt, snapshot_stride=2000)
+        r = pde.solve(p, g, 2000 * dt, dt, snapshot_stride=stride)
+        assert path(2000, stride, 64) == path(2000, 2000, 64) == "blocks"
+
+        def digest(r):
+            return sha256_of(r.times, r.rho0, r.rho1, *(s.values for s in r.snapshots))
+
+        assert digest(r) == digest(want)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_step_rejects_non_finite_dt(self, dt):
@@ -464,7 +480,7 @@ class TestBlockPropagation:
             case(3.33, 0.2, 64, 200, 1, path="fill"),  # every state kept
             case(1.0, 0.4, 16, 3000, 3000, path="blocks"),
             case(3.33, -0.7, 257, 2000, 400, path="blocks"),
-            # 512^3 products cost more than 4000 stencil steps
+            # 4000 steps, under the break-even (512 / 28)^3 = 6114
             case(1.0 / 6.0, 1.2, 512, 4000, 4000, path="stencil"),
         ],
     )
@@ -483,7 +499,7 @@ class TestBlockPropagation:
             (1.0, 0.4, 16, 3000, 1, 64),
             (1.0 / 6.0, 1.2, 512, 1000, 1, 16),
             (3.33, -0.7, 257, 2000, 1, 128),
-            (1.0 / 6.0, 1.2, 512, 4000, 4000, 32),  # blocks the model no longer picks
+            (1.0 / 6.0, 1.2, 512, 4000, 4000, 32),  # blocks the rule does not pick
             (3.33, 0.2, 64, 1000, 100, 32),  # a remainder of 4 steps in every gap
             (1.0, 0.4, 16, 3000, 700, 128),  # a last gap of 200 steps
             (2.0, 0.3, 64, 600, 37, 64),  # one block per gap, shorter than size
@@ -496,7 +512,7 @@ class TestBlockPropagation:
     def test_block_size_matches_stencil(
         self, monkeypatch, omega, theta0, n_cells, n_steps, stride, size
     ):
-        # the fill and the blocks at a size set here, whatever the cost model
+        # the fill and the blocks at a size set here, whatever _block_size
         # picks, and the blocks in chunks of three, which cut gaps apart
         monkeypatch.setattr(pde, "_block_size", lambda *args: size)
         monkeypatch.setattr(pde, "CHUNK_ELEMENTS", 3 * max(size, n_cells))
@@ -517,21 +533,54 @@ class TestBlockPropagation:
     def test_stride_one_path(self, n_steps, n_cells, want_path):
         assert path(n_steps, 1, n_cells) == want_path
 
+    @pytest.mark.parametrize(
+        "n_steps, stride, n_cells, size",
+        [
+            (100_000, 10_000, 256, 256),  # the benchmark's sparse solves
+            (20_000, 1, 256, 128),  # its dense solve
+            (204, 1, 64, 8),  # its refinement ladder
+            (408, 1, 128, 16),
+            (815, 1, 256, 16),  # (256 / 28)^3 = 764 steps break even
+            (1629, 1, 512, 1),
+            (100, 1, 256, 1),  # no_pump
+            (340, 340, 128, 16),  # the duality reference
+            (2000, 1, 256, 32),  # PDE_DIGESTS' solves
+            (150, 7, 256, 1),
+            (2000, 400, 128, 32),
+            (1000, 1, 128, 16),
+            (1357, 13, 256, 13),  # qjump pde: capped by the stride
+            (4000, 4000, 512, 1),  # the stencil guards
+            (40_000, 4000, 1024, 1),
+            (20_000, 1, 2048, 1),  # past MAX_BLOCK_CELLS
+            (1000, 2, 256, 1),  # B n below (n / 28)^3: a link costs more
+            (1000, 4, 256, 4),
+            (7000, 8, 512, 1),
+            (7000, 16, 512, 16),
+            (49_000, 16, 1024, 1),
+        ],
+    )
+    def test_block_size(self, n_steps, stride, n_cells, size):
+        assert pde._block_size(n_steps, stride, n_cells) == size
+
 
 # sha256 of the float64 bytes of a solve's (times, rho0, rho1, stacked
 # snapshot values, snapshot times), of StepOperator.matrix(), and of
 # --no-timestamp CLI files, recorded while the solver still built and checked
 # each snapshot on its own.  The two runs on the fill were recorded on it;
 # stencil_stride1 differs from its stencil run (digest 00142e45...) by at most
-# 3.4e-16 in rho and 4.5e-16 in L1 per snapshot.  blocks, cli_pde and
-# cli_duality were recorded on the chunked blocks with re-fitted block sizes:
-# against the blocks run one at a time (digests 9ebd6efa..., 49ec21c0...,
-# 7cdf7827...) blocks moved by at most 7.8e-16 in rho and 8.2e-16 in L1 per
-# snapshot, the qjump pde solve by 5.6e-16 and 1.5e-17, and the duality
-# reference by 9.5e-16 in L1, which moved its L1 distances by at most 9.4e-17
+# 3.4e-16 in rho and 4.5e-16 in L1 per snapshot.  blocks and cli_pde were
+# recorded on the chunked blocks with re-fitted block sizes: against the
+# blocks run one at a time (digests 9ebd6efa..., 49ec21c0...) blocks moved by
+# at most 7.8e-16 in rho and 8.2e-16 in L1 per snapshot, and the qjump pde
+# solve by 5.6e-16 and 1.5e-17.  fill and cli_duality were re-recorded when
+# B came from sqrt(n_steps) (fill 32 -> 16 steps, the duality reference
+# 8 -> 16): against the priced sizes (digests 3eb798ab..., 7adb1ba9...) fill
+# moved by at most 4.4e-16 in rho0, 3.9e-16 in rho1 and 4.4e-16 in L1 per
+# snapshot, and the duality reference by 3.6e-16 in L1, which moved its L1
+# distances by at most 5.6e-17 and its slope by 4.4e-16
 PDE_DIGESTS = {
     "stencil_stride1": "18eecaa54dedbbce1f6ae9226a3a8d80bae1fcd9915247878bd3f16ac6b1514a",
-    "fill": "3eb798ab3b9f33a29af959acbe04f88c5e91184faad90896d1a8aaee1dcd24ee",
+    "fill": "3cb9264c52f36f15e4b64b8bc23151c0aee2848f33bfe0bcdb04243bda33ebc2",
     "stencil_stride7": "00863d10a947c7a0b4f6fc70225d2982685d565403ab299e3d916338c1b59c73",
     "blocks": "7f1815ed504424aafd7f4f9d718a53660a6609d51a5bdf9c7d5daa0c2d12cd99",
     "no_pump": "357adbbb3d962692a143b1216b8330d6631c844c8d228a95b4563bf483b3af1b",
@@ -539,7 +588,7 @@ PDE_DIGESTS = {
     "matrix_c_mid": "b8c049cac6f66ff5426547c981cd14116b049d64cd4b9cb9b4a423c0a5bcf992",
     "matrix_c1": "5c7002b67167a40d5443d505c3b284f9fe502124b23d8e9b9b4f6054622fa7b5",
     "cli_pde": "bd1a32d9e24517a61547670974fc92f51337b9955a071da1ff1800c10876f1c9",
-    "cli_duality": "7adb1ba970aac820def3bfdadc525ea370ff81dd136b49d8221f94382647b8e2",
+    "cli_duality": "1c9da19acb5e386d205b49eb1cb695d690ef4e3333d6dc7749b284e278c11301",
 }
 # (params, n_cells, t_end, snapshot_stride) at dt = max_stable_dt; an integer
 # t_end counts steps of dt
@@ -550,7 +599,7 @@ SOLVE_RUNS = {
     "no_pump": (ModelParams(0.0, 1.0, math.pi / 4), 256, 10.0, None),
     "fill": (ModelParams(3.33, 1.0, -0.7), 128, 1000, 1),
 }
-# the path each run takes; a cost model that moves one shows here first
+# the path each run takes; a block-size rule that moves one shows here first
 SOLVE_PATHS = {
     "stencil_stride1": "fill",
     "stencil_stride7": "stencil",
