@@ -28,7 +28,9 @@ per-event owner array.
 
 One stream rule: block b of an ensemble, BLOCK trajectories, draws all its
 lanes from np.random.default_rng((seed, b)).  An ensemble of n is not a
-prefix of a larger one.
+prefix of a larger one.  Its outputs are allocated once, at their final
+size, and filled block by block; only the emission times, whose total is
+known at the end, are gathered per block and joined.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class Emissions:
         off = self.offsets = np.asarray(offsets, dtype=np.intp)
         self.t_end = t_end
         if not (t.ndim == off.ndim == 1 and off.size and off[0] == 0
-                and off[-1] == t.size and np.all(np.diff(off) >= 0)):
+                and off[-1] == t.size and np.all(off[1:] >= off[:-1])):
             raise ValueError("offsets must rise from 0 to the number of times")
         inside = np.all((t > 0) & (t <= t_end))
         first = np.zeros(t.size + 1, dtype=bool)
@@ -222,10 +224,11 @@ def _segment_sums(mask, first, size):
     return sums
 
 
-def _run_ensemble(params, semantics, horizon, seed, n, record=True):
-    """(times, counts, theta) of n trajectories, BLOCK per stream.
+def _blocks(params, semantics, horizon, seed, n, record=True):
+    """The blocks of n trajectories, BLOCK per stream, one at a time.
 
-    At most about gamma * horizon * n candidates are drawn (MAX_STEPS)."""
+    Each is (a, (times, counts, theta)) with a its first trajectory.  At most
+    about gamma * horizon * n candidates are drawn (MAX_STEPS)."""
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -238,37 +241,57 @@ def _run_ensemble(params, semantics, horizon, seed, n, record=True):
             f"gamma*horizon*n must be at most {MAX_STEPS} candidate events: "
             f"gamma={params.gamma}, horizon={horizon}, n={n}"
         )
-    rngs = [np.random.default_rng((seed, b)) for b in range(-(-n // BLOCK))]
-    sizes = [min(BLOCK, n - b * BLOCK) for b in range(len(rngs))]
-    parts = [_kernel(params, semantics, horizon, r, m, record) for r, m in zip(rngs, sizes)]
-    if len(parts) == 1:  # no copy of a one-block ensemble
-        return parts[0]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    # a generator expression: the checks above run at the call, before the
+    # caller allocates its outputs, and each block is drawn as it is read
+    return (
+        (a, _kernel(params, semantics, horizon, np.random.default_rng((seed, b)),
+                    min(BLOCK, n - a), record))
+        for b, a in enumerate(range(0, n, BLOCK))
+    )
 
 
 def ensemble_records(
     params: ModelParams, semantics: JumpSemantics, horizon: float, seed: int, n: int
 ) -> Emissions:
     """Emission table of n trajectories with block-keyed seeded streams."""
-    times, counts, _ = _run_ensemble(params, semantics, horizon, seed, n)
-    return Emissions(times, np.concatenate([[0], np.cumsum(counts)]), horizon)
+    blocks = _blocks(params, semantics, horizon, seed, n)
+    offsets = np.zeros(n + 1, dtype=np.intp)  # counts first, summed in place
+    parts = []  # the times alone are gathered: their total is known at the end
+    for a, (times, counts, theta) in blocks:
+        offsets[a + 1 : a + 1 + counts.size] = counts
+        parts.append(times)
+        del times, counts, theta  # unbound before the next block is drawn
+    np.cumsum(offsets, out=offsets)
+    times = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts  # the blocks' times: free them before the table is checked
+    return Emissions(times, offsets, horizon)
 
 
 def ensemble_theta_at(
     params: ModelParams, semantics: JumpSemantics, horizon: float, seed: int, n: int
 ) -> np.ndarray:
     """Angles of n independent trajectories sampled at the horizon."""
-    return _run_ensemble(params, semantics, horizon, seed, n, record=False)[2]
+    blocks = _blocks(params, semantics, horizon, seed, n, record=False)
+    theta = np.empty(n)
+    for a, (times, counts, block) in blocks:
+        theta[a : a + block.size] = block
+        del times, counts, block  # unbound before the next block is drawn
+    return theta
 
 
 def histogram_from_angles(angles, grid: ThetaGrid) -> ProbabilityField:
     """Normalized density histogram of reduced angles on the grid."""
     angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 1:
+        raise ValueError("angles must be a 1-d array")
     if angles.size == 0:
         raise ValueError("empty ensemble")
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
-    counts = np.bincount(grid.cell_of(angles), minlength=grid.n_cells).astype(float)
+    counts = np.zeros(grid.n_cells, dtype=np.intp)
+    for a in range(0, angles.size, BLOCK):  # temporaries of one block of angles
+        chunk = angles[a : a + BLOCK]
+        if not np.isfinite(chunk).all():
+            raise ValueError("angles must be finite")
+        counts += np.bincount(grid.cell_of(chunk), minlength=grid.n_cells)
     return ProbabilityField(grid, counts / (angles.size * grid.cell_width))
 
 
@@ -293,4 +316,5 @@ def ever_emitted_fraction(emissions: Emissions) -> float:
     """Fraction of trajectories with at least one emission."""
     if not len(emissions):
         raise ValueError("empty ensemble")
-    return int(np.count_nonzero(np.diff(emissions.offsets))) / len(emissions)
+    off = emissions.offsets
+    return int(np.count_nonzero(off[1:] != off[:-1])) / len(emissions)

@@ -168,9 +168,23 @@ def l1_distance(a: DelayDistribution, b: DelayDistribution) -> float:
     # np.union1d's sort and distinct-neighbour mask; np.union1d imports numpy.ma
     grid = np.sort(np.concatenate([a.tau_grid, b.tau_grid]))
     grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
-    an = a.normalized()
-    bn = b.normalized()
-    fa = np.interp(grid, an.tau_grid, an.density, left=0.0, right=0.0)
-    fb = np.interp(grid, bn.tau_grid, bn.density, left=0.0, right=0.0)
+    fa = _interp(grid, a.normalized())
+    fb = _interp(grid, b.normalized())
     return float(np.trapezoid(np.abs(fa - fb), grid))
+
+
+def _interp(x, dist):
+    """The density of `dist` at x, linear between its grid points, 0 outside.
+
+    np.interp forms each interval's slope, which overflows over a tiny
+    spacing where every density is finite; there the interval fraction
+    (x - x0)/(x1 - x0) takes its place."""
+    xp, fp = dist.tau_grid, dist.density
+    f = np.interp(x, xp, fp, left=0.0, right=0.0)
+    steep = ~np.isfinite(f)
+    if steep.any():  # strictly inside an interval: np.interp returns fp at xp
+        x = x[steep]
+        k = np.searchsorted(xp, x) - 1
+        f[steep] = fp[k] + (fp[k + 1] - fp[k]) * ((x - xp[k]) / (xp[k + 1] - xp[k]))
+    return f
 

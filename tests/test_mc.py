@@ -665,3 +665,138 @@ def test_emission_path_memory():
     cdf = lambda x: core.waiting_time_cdf(x, p)
     # sorted samples are not copied, and the cdf sees a chunk at a time
     assert traced_peak(lambda: stats.ks_test(gaps, cdf)) < gaps.nbytes
+
+
+# Criterion 2's no-pump ensemble and criterion 6's duality ensembles, with
+# their acceptance seeds
+NO_PUMP_RUN = (ModelParams(0.0, 1.0, math.pi / 4), LITERAL, 30.0, 42, 100_000)
+DUALITY_RUN = (ModelParams(3.33, 1.0), LITERAL, 5.0, 99)
+# recorded before the ensembles' outputs were allocated once and filled block
+# by block: sha256 of criterion 2's (times, offsets) and float.hex of its
+# ever-emitted fraction; sha256 of criterion 6's angles and of their 128-cell
+# histogram at each n; and, for runs of 2 * BLOCK + 5 trajectories (omega =
+# 3.33, horizon 15, seed 4) whose last block is partial, sha256 of (times,
+# offsets), of the angles and of their histogram, and the fraction's float.hex
+FILL_DIGESTS = {
+    "no_pump": "8ccddb63a7b65a6614cfcb4ed6cb16d6d28a9005782f2c7e83a6e254549af202",
+    ("duality", 1_000): ("fec1eef234c189385b99436a92e4fc435bab69b9d38f2da56765a013fdaf50dc",
+                         "bd0d21c8bad67ab46aee2605eb08f75f1a13d95982dacfccd8c7ca6a0da7ae6b"),
+    ("duality", 10_000): ("8feb888d9a46ea25a87e62e89a0040cdcb8719375de35fda15f8ebf272dcc4fb",
+                          "5d5f10e702c878f0e2432e51388767a6e4315fbf9440db5ecf1043fc50fce21d"),
+    ("duality", 100_000): ("1a98adca54a9f0dc85a636f6769a46de074556fee6d664ece567b8e2a10f0e0d",
+                           "2c8c6e5d7e80e03a5ca23e2e3c3b9adc3e8deb16f6a41947f3d5afb7d156555f"),
+    ("partial", LITERAL): (
+        "1e28a645800de7a665008a4c3847fb42b59774f7a5c2117862be99c81f5d7ecf",
+        "b025f24636893f3dce71087c203164c41c5a60edd3ca01eb4140b196268b0cb8",
+        "a932fd63cc1593af93a9fa0a0038fc63f1c2e5250c2b6f1287a89df185036d1f",
+    ),
+    ("partial", EMISSION): (
+        "601de4a1a3e142e3ad6b06c2ba197fb2358b5266a77c98472b28735a900f4da6",
+        "066017d7ef8044ec8e61ee5c692c28b24198484780b680991d0edc1a1683c853",
+        "6b33ce8770e786b04d00a3e72eaaaf102af7481e5aec824a12c244a3b15cdf2c",
+    ),
+}
+FILL_HEX = {
+    "no_pump": "0x1.002c9081c2e34p-1",
+    ("partial", LITERAL): "0x1.fe90397705672p-1",
+    ("partial", EMISSION): "0x1.fe803bf6a176cp-1",
+}
+
+
+class TestBlockFillBitIdentity:
+    def test_no_pump_table_unchanged(self):
+        rec = mc.ensemble_records(*NO_PUMP_RUN)
+        assert sha256_of(rec.times, rec.offsets) == FILL_DIGESTS["no_pump"]
+        assert mc.ever_emitted_fraction(rec).hex() == FILL_HEX["no_pump"]
+
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+    def test_duality_angles_unchanged(self, n):
+        theta = mc.ensemble_theta_at(*DUALITY_RUN, n)
+        hist = mc.histogram_from_angles(theta, pde.ThetaGrid(128))
+        assert (sha256_of(theta), sha256_of(hist.values)) == FILL_DIGESTS["duality", n]
+
+    @pytest.mark.parametrize("semantics", [LITERAL, EMISSION], ids=lambda s: s.name)
+    def test_partial_last_block_unchanged(self, semantics):
+        run = (ModelParams(3.33, 1.0), semantics, 15.0, 4, 2 * mc.BLOCK + 5)
+        rec = mc.ensemble_records(*run)
+        theta = mc.ensemble_theta_at(*run)
+        hist = mc.histogram_from_angles(theta, pde.ThetaGrid(128))
+        digests = sha256_of(rec.times, rec.offsets), sha256_of(theta), sha256_of(hist.values)
+        assert digests == FILL_DIGESTS["partial", semantics]
+        assert mc.ever_emitted_fraction(rec).hex() == FILL_HEX["partial", semantics]
+
+
+class TestBlockFill:
+    """Each block's kernel output lands in its own slice of the ensemble's."""
+
+    @pytest.mark.parametrize("semantics", [LITERAL, EMISSION], ids=lambda s: s.name)
+    def test_outputs_are_the_blocks_in_order(self, semantics):
+        p, horizon, seed, n = ModelParams(3.33, 1.0), 15.0, 4, 2 * mc.BLOCK + 5
+
+        def joined_blocks(record):  # block b draws from stream (seed, b)
+            blocks = [
+                mc._kernel(p, semantics, horizon, np.random.default_rng((seed, b)), m, record)
+                for b, m in enumerate([mc.BLOCK, mc.BLOCK, 5])
+            ]
+            return [np.concatenate(column) for column in zip(*blocks)]
+
+        times, counts, _ = joined_blocks(True)
+        rec = mc.ensemble_records(p, semantics, horizon, seed, n)
+        assert np.array_equal(rec.times, times)
+        assert rec.offsets[0] == 0 and np.array_equal(np.diff(rec.offsets), counts)
+        assert mc.ever_emitted_fraction(rec) == np.count_nonzero(counts) / n
+        theta = mc.ensemble_theta_at(p, semantics, horizon, seed, n)
+        assert np.array_equal(theta, joined_blocks(False)[2])
+
+    @pytest.mark.parametrize("n", [1, mc.BLOCK, mc.BLOCK + 1, 3 * mc.BLOCK - 7])
+    def test_histogram_sums_its_chunks(self, n):
+        grid = pde.ThetaGrid(128)
+        angles = np.random.default_rng(n).uniform(-10.0, 10.0, n)
+        whole = np.bincount(grid.cell_of(angles), minlength=grid.n_cells)
+        hist = mc.histogram_from_angles(angles, grid)
+        assert np.array_equal(hist.values, whole / (n * grid.cell_width))
+
+    def test_histogram_checks_every_chunk(self):
+        angles = np.zeros(2 * mc.BLOCK + 3)
+        angles[-1] = math.nan
+        with pytest.raises(ValueError, match="angles"):
+            mc.histogram_from_angles(angles, pde.ThetaGrid(64))
+
+    def test_histogram_refuses_a_table_of_angles(self):
+        with pytest.raises(ValueError, match="angles"):
+            mc.histogram_from_angles(np.zeros((2, 3)), pde.ThetaGrid(64))
+
+
+def block_bounded_peak(call, n):
+    """tracemalloc peaks of call(n) and of call(BLOCK), each on a second call."""
+    call(n), call(mc.BLOCK)
+    return traced_peak(lambda: call(n)), traced_peak(lambda: call(mc.BLOCK))
+
+
+class TestOutputSizedMemory:
+    """An ensemble's peak is its output plus one block of temporaries.
+
+    One block of temporaries is the peak of the same call on one block,
+    output included.  Before the outputs were filled in place, criterion 2's
+    table peaked at 4.03e6 bytes for 1.2e6 of output, criterion 6's 1e5
+    angles at 3.23e6 for 8e5, and their histogram at 1.6e6."""
+
+    def test_no_pump_records(self):
+        p, semantics, horizon, seed, n = NO_PUMP_RUN
+        call = lambda m: mc.ensemble_records(p, semantics, horizon, seed, m)
+        peak, block = block_bounded_peak(call, n)
+        rec = call(n)
+        # the join of the blocks' times (4e5 bytes) stays below a block's peak
+        assert peak <= rec.times.nbytes + rec.offsets.nbytes + block
+
+    def test_duality_angles(self):
+        call = lambda m: mc.ensemble_theta_at(*DUALITY_RUN, m)
+        peak, block = block_bounded_peak(call, 100_000)
+        assert peak <= call(100_000).nbytes + block
+
+    def test_duality_histogram(self):
+        grid = pde.ThetaGrid(128)
+        theta = mc.ensemble_theta_at(*DUALITY_RUN, 100_000)
+        call = lambda m: mc.histogram_from_angles(theta[:m], grid)
+        peak, block = block_bounded_peak(call, theta.size)
+        assert peak <= call(theta.size).values.nbytes + block

@@ -208,6 +208,16 @@ class TestDistances:
         with pytest.raises(ValueError, match="curve b"):
             stats.l1_distance(d, empty)
 
+    def test_l1_of_a_curve_on_a_tiny_spacing(self):
+        # a unit-mass triangle on [x0, x1] peaks at 2/(x1 - x0) = 4.2e185, so
+        # np.interp's slope overflows; the union grid's last interval, to 1,
+        # takes the peak down to 0 and holds nearly all of the distance
+        x0, x1 = -2.68e-232, 4.79e-186
+        steep = DelayDistribution([x0, x1], [0.0, 1.0])
+        unit = DelayDistribution([0.0, 1.0], [1.0, 1.0])
+        assert stats.l1_distance(steep, unit) == pytest.approx(1.0 / (x1 - x0), rel=1e-12)
+        assert stats.l1_distance(unit, steep) == stats.l1_distance(steep, unit)
+
 
 NUMBERS = st.one_of(st.floats(-1.0, 40.0), st.floats(allow_nan=True, allow_infinity=True))
 # (grid, value) pairs: all in range, so that calls also succeed, or any floats
@@ -287,6 +297,8 @@ class TestInputContracts:
     # zero mass: each raised a ValueError naming neither curve
     @example("l1_distance", [(0, 0.0), (1, 0.0)], "sorted", "baseline", 1)
     @example("l1_distance", [(0.5, 0.2)], "sorted", "analytic", 1)
+    # np.interp's slope over a spacing of 5e-186 overflowed: l1_distance gave inf
+    @example("l1_distance", [(-2.68e-232, 0.0), (4.79e-186, 1.0)], "sorted", "analytic", 1)
     def test_finite_output_or_named_error(self, entry, pairs, order, kind, rate):
         """Finite output, or a ValueError naming a bad argument.
 
