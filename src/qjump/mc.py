@@ -122,7 +122,8 @@ def _kernel(params, semantics, horizon, rng, n, record=True):
     # theta(t) = phase + omega*t/2 in lane time; a jump at t resets it to 0
     phase = np.zeros(size)
     phase[::lanes] = params.theta0
-    buf, counts = np.empty((size, 4)), np.zeros(size, dtype=np.intp)
+    # no columns when no times are kept, so the gather after the loop is empty too
+    buf, counts = np.empty((size, 4 if record else 0)), np.zeros(size, dtype=np.intp)
     span = np.full(size, horizon)  # of each finished lane, as _lane_starts reads it
     # the hazard is identically zero once omega = 0 and theta = 0
     ids = np.arange(size if omega != 0.0 or params.theta0 != 0.0 else 0)

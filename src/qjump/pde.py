@@ -11,7 +11,8 @@ At a fixed step the update is one column-stochastic n x n matrix A, a
 Markov-chain approximation in the sense of Kushner and Dupuis; `StepOperator`
 holds it and applies it as a stencil.  `solve` starts from a point mass at
 params.theta0 and ends exactly at t_end.  Its snapshots are the rows of one
-table, checked once and handed out as `ProbabilityField` views.  A solve long
+table, checked once and returned read-only with their times; `Snapshots`
+makes each row's `ProbabilityField` view only when it is read.  A solve long
 enough for dense powers of A to pay, from (n / BREAK_EVEN_CELLS)^3 steps on n
 cells, advances in blocks of B ~ sqrt(n_steps) steps, as in ParaExp (Gander
 and Guettel, SIAM J. Sci. Comput. 35, C123 (2013)) in exact linear form: a
@@ -27,7 +28,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -82,7 +85,7 @@ class ThetaGrid:
 
 
 # eq=False: field-wise == over ndarrays is ambiguous, so == is identity
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ProbabilityField:
     """Discretized density p(theta) on a ThetaGrid at a given time."""
 
@@ -101,12 +104,47 @@ class ProbabilityField:
         if not 0.0 <= values.min() <= values.max() < math.inf:  # NaN fails min
             raise ValueError("densities must be finite and nonnegative")
 
-    @classmethod
-    def _row(cls, grid: ThetaGrid, values, time: float):
-        """A field over a row of a table that has passed _check."""
-        view = cls.__new__(cls)
-        view.grid, view.values, view.time = grid, values, time
-        return view
+
+def _view(grid: ThetaGrid, values, time: float) -> ProbabilityField:
+    """A field over a row of a table that has passed ProbabilityField._check."""
+    view = object.__new__(ProbabilityField)
+    view.grid, view.values, view.time = grid, values, time
+    return view
+
+
+class Snapshots(Sequence):
+    """The rows of a snapshot table as `ProbabilityField` views, made as they are read.
+
+    Indexes, slices (a `Snapshots` too) and iteration behave as on a list of
+    the views.  final, if given, is the view of the last row, handed out
+    for it each time.
+    """
+
+    __slots__ = ("grid", "table", "times", "final")
+
+    def __init__(self, grid: ThetaGrid, table, times, final=None):
+        self.grid, self.table, self.times, self.final = grid, table, times, final
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, index):
+        rows = range(len(self))
+        if isinstance(index, slice):
+            kept = rows[index]
+            final = self.final if kept and kept[-1] == rows[-1] else None
+            return Snapshots(self.grid, self.table[index], self.times[index], final)
+        k = rows[index]  # IndexError past either end
+        if self.final is not None and k == rows[-1]:
+            return self.final
+        return _view(self.grid, self.table[k], float(self.times[k]))
+
+    def __iter__(self):
+        # float() one time at a time: a list of every time would add to a loop's peak
+        views = map(_view, repeat(self.grid), self.table, map(float, self.times))
+        if self.final is None:
+            return views
+        return chain(islice(views, len(self) - 1), (self.final,))
 
 
 def max_stable_dt(params: ModelParams, grid: ThetaGrid):
@@ -179,16 +217,22 @@ def population_rate(field: ProbabilityField, params: ModelParams):
 
 @dataclass
 class SolveResult:
-    """Sampled populations plus periodic field snapshots, the last at t_end."""
+    """Sampled populations plus periodic field snapshots, the last at t_end.
+
+    Row i of the read-only table is the density at snapshot_times[i];
+    snapshots views the rows as `ProbabilityField`s, and final is the last.
+    """
 
     times: np.ndarray
     rho0: np.ndarray
     rho1: np.ndarray
-    snapshots: list
+    table: np.ndarray
+    snapshot_times: np.ndarray
+    final: ProbabilityField
+    snapshots: Snapshots = field(init=False, repr=False)
 
-    @property
-    def final(self) -> ProbabilityField:
-        return self.snapshots[-1]
+    def __post_init__(self):
+        self.snapshots = Snapshots(self.final.grid, self.table, self.snapshot_times, self.final)
 
 
 def _hazard_integrals(angle, dt, params: ModelParams):
@@ -252,11 +296,10 @@ def _strided_blocks(n_steps, stride, size):
 def _stencil(op: StepOperator, table, forcing, s2, stride, out):
     """Step by step, each into the row of the state it makes; fills table like _blocks."""
     source = op.grid.source_index
-    rows = list(table)
-    values = rows[0]
+    values = table[0]
     for k, f in enumerate(forcing.tolist(), 1):
         out[k - 1] = s2.dot(values)
-        values = op.apply(values, out=rows[-(-k // stride)])
+        values = op.apply(values, out=table[-(-k // stride)])
         values[source] += f
 
 
@@ -422,8 +465,10 @@ def solve(
     # a row whose point mass is gone gains an exact 0
     table[np.arange(steps.size), grid.cell_of(angle[steps])] += point[steps] / dx
     ProbabilityField._check(table)
-    snapshots = [ProbabilityField._row(grid, v, t) for v, t in zip(table, times[steps].tolist())]
+    snapshot_times = times[steps]
+    table.flags.writeable = snapshot_times.flags.writeable = False
     rho1 = dx * grid_rho1 + point * np.sin(angle) ** 2
     # A keeps mass, so the grid holds the cumulative forcing, which is what
     # the point mass has lost: rho0 + rho1 stays at the unit total
-    return SolveResult(times, 1.0 - rho1, rho1, snapshots)
+    final = _view(grid, table[-1], float(snapshot_times[-1]))
+    return SolveResult(times, 1.0 - rho1, rho1, table, snapshot_times, final)

@@ -572,6 +572,18 @@ def test_memory_peaks_do_not_grow():
     assert traced_peak(theta) <= PARENT_PEAKS["theta_1e5"]
 
 
+def test_angle_block_keeps_no_time_buffer():
+    # one block of criterion 6's angles, one lane, no times kept: the kernel
+    # peaked at 6.49e5 bytes while it still allocated its (BLOCK, 4) time
+    # buffer, 1.31e5 bytes, and at 5.18e5 without it
+    p, semantics, horizon, seed = DUALITY_RUN
+    call = lambda: mc._kernel(p, semantics, horizon, np.random.default_rng((seed, 0)),
+                              mc.BLOCK, record=False)
+    times, counts, theta = call()  # a first call in a process peaks higher
+    assert times.size == 0 and not counts.any() and theta.size == mc.BLOCK
+    assert traced_peak(call) <= 6.49e5 - mc.BLOCK * 4 * 8 // 2
+
+
 # The waiting_time benchmark's emission ensembles (seed 7): omega, horizon and
 # trajectories per panel; panel b holds 1.6e5 origin-anchored gaps
 EMISSION_PANELS = {"a": (3.33, 10_000.0, 20), "b": (1.0 / 6.0, 40_000.0, 40)}

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -723,3 +724,78 @@ class TestSnapshotTable:
         dt = pde.max_stable_dt(p, g)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite and"):
             pde.solve(p, g, 600 * dt, dt, stride)
+
+
+# (path, stride, cells): 600 steps take each of solve's three paths
+VIEW_PATHS = [("fill", 1, 64), ("stencil", 7, 512), ("blocks", 37, 64)]
+
+
+class TestSnapshotViews:
+    """SolveResult.snapshots is a lazy sequence of views of its read-only table."""
+
+    @pytest.fixture(params=VIEW_PATHS, ids=[name for name, *_ in VIEW_PATHS])
+    def result(self, request):
+        name, stride, n_cells = request.param
+        assert path(600, stride, n_cells) == name
+        p, g = ModelParams(3.33, 1.0, 0.3), ThetaGrid(n_cells)
+        dt = pde.max_stable_dt(p, g)
+        r = pde.solve(p, g, 600 * dt, dt, stride)
+        assert r.snapshot_times.tolist() == [*r.times[:-1:stride], r.times[-1]]
+        return r
+
+    @staticmethod
+    def rows(r):
+        """Each table row's bytes and its time, as a list of the views would hold them."""
+        return [(v.tobytes(), t) for v, t in zip(r.table, r.snapshot_times.tolist())]
+
+    @staticmethod
+    def key(s):
+        assert type(s) is ProbabilityField and type(s.time) is float
+        return s.values.tobytes(), s.time
+
+    def test_behaves_as_the_list(self, result):
+        r, want = result, self.rows(result)
+        s, n = result.snapshots, len(want)
+        assert len(s) == n == r.table.shape[0]
+        for i in range(n):
+            assert self.key(s[i]) == self.key(s[i - n]) == want[i]
+            assert s[i].values.base is r.table and s[i].grid is r.final.grid
+        for i in (n, -n - 1, 10**20):
+            with pytest.raises(IndexError):
+                s[i]
+        for cut in [slice(None), slice(None, -1), slice(1, -1, 3), slice(None, None, -2),
+                    slice(-3, None), slice(5, 5), slice(n, None), slice(2, 1)]:
+            part = s[cut]
+            assert isinstance(part, pde.Snapshots) and len(part) == len(want[cut])
+            assert [self.key(v) for v in part] == want[cut]
+        for _ in range(2):  # iteration starts afresh on every pass
+            assert [self.key(v) for v in s] == want
+
+    def test_final_is_the_last_view(self, result):
+        r = result
+        assert r.final is r.snapshots[-1] is list(r.snapshots)[-1] is r.snapshots[1:][-1]
+        assert r.final.time == r.times[-1] and r.final.values.base is r.table
+
+    def test_table_is_read_only(self, result):
+        r = result
+        for array in (r.final.values, r.snapshots[0].values, r.table, r.snapshot_times):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_views_are_slotted(self, result):
+        with pytest.raises(AttributeError):
+            result.final.note = "no __dict__"
+
+    def test_dense_solve_holds_little_beyond_its_table(self):
+        # the 20 000-step stride-1 solve of the transport benchmark: a list
+        # of 20 001 views held 5.29 MB beside the table
+        p, g = ModelParams(3.33, 1.0), ThetaGrid(256)
+        dt = pde.max_stable_dt(p, g)
+        tracemalloc.start()
+        try:
+            r = pde.solve(p, g, 20_000 * dt, dt, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert r.table.shape == (20_001, 256)
+        assert held <= r.table.nbytes + 1e6
