@@ -11,17 +11,15 @@ A state is the real 4-vector x = (rho_gg, rho_ee, Re rho_ge, Im rho_ge),
 Hermitian by construction.  One real 4x4 generator, `_generator(params,
 weight)`, carries the master equation; `weight` scales the jump term
 gamma*rho_ee -> rho_gg (1: full, 0: truncated).  On a uniform time grid,
-which `integrate` always has, the states come from powers of the exact
-propagator exp(L h) (`_powers`, in the manner of the PDE's blocks);
-`delay_function` steps any other grid one state at a time (`_stepwise`).
-`steady_state` solves for L's null vector, and `delay_tail_cutoff` reads
-the slowest decay rate off the truncated L.
+which `integrate` always has and `delay_function` requires, the states come
+from powers of the exact propagator exp(L h) (`_powers`, in the manner of
+the PDE's blocks).  `steady_state` solves for L's null vector, and
+`delay_tail_cutoff` reads the slowest decay rate off the truncated L.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
@@ -98,30 +96,6 @@ def _powers(generator, x, h, n):
     return (starts @ np.vstack(table).T).reshape(-1, 4)[: n + 1]
 
 
-def _stepwise(generator, x, steps):
-    """States of x' = generator x from x, one row per step: a (len(steps) + 1, 4) array.
-
-    Step h applies the exact propagator exp(generator h), built once per distinct h.
-    """
-    propagators = {}
-    gg, ee, re_ge, im_ge = x
-    out = array("d", x)
-    for h in steps:
-        p = propagators.get(h)
-        if p is None:
-            p = propagators[h] = _expm(generator * h).ravel().tolist()
-        # unpacked into locals: indexing p sixteen times per step costs more
-        p00, p01, p02, p03, p10, p11, p12, p13, p20, p21, p22, p23, p30, p31, p32, p33 = p
-        gg, ee, re_ge, im_ge = row = (
-            p00 * gg + p01 * ee + p02 * re_ge + p03 * im_ge,
-            p10 * gg + p11 * ee + p12 * re_ge + p13 * im_ge,
-            p20 * gg + p21 * ee + p22 * re_ge + p23 * im_ge,
-            p30 * gg + p31 * ee + p32 * re_ge + p33 * im_ge,
-        )
-        out.extend(row)
-    return np.frombuffer(out).reshape(-1, 4)
-
-
 def integrate(x0, params: ModelParams, t_end: float, dt: float, truncated: bool = False):
     """Evolution from the 4-vector x0; returns (times, states), states[k] at times[k].
 
@@ -173,9 +147,9 @@ def delay_function(params: ModelParams, tau_grid) -> DelayDistribution:
     """Delay function from the truncated evolution started in the ground state.
 
     Equal to -d/dtau Tr rho(tau) = gamma * rho_ee(tau), with the truncated
-    state carried from one grid point to the next by exp(L_0 h): by powers
-    of one propagator on a uniform grid (every tau_k within 8 eps tau_n of
-    k tau_n/n, as np.linspace gives), step by step on any other.
+    state carried along by powers of the one propagator exp(L_0 h).  The
+    grid must be uniform, as np.linspace gives: every tau_k within 8 eps
+    tau_n of k tau_n/n.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size < 2:
@@ -184,12 +158,11 @@ def delay_function(params: ModelParams, tau_grid) -> DelayDistribution:
     if not (tau_grid[0] == 0.0 and np.all(steps > 0)):
         raise ValueError("tau_grid must start at 0 and increase")
     _check_step(params, float(steps.max()), "tau_grid")
-    generator, n = _generator(params, 0.0), steps.size
+    n = steps.size
     h = tau_grid[-1] / n
-    if np.all(np.abs(tau_grid - h * np.arange(n + 1)) <= 8 * np.finfo(float).eps * tau_grid[-1]):
-        excited = _powers(generator, GROUND, h, n)[:, 1]
-    else:
-        excited = _stepwise(generator, GROUND, steps.tolist())[:, 1]
+    if not np.all(np.abs(tau_grid - h * np.arange(n + 1)) <= 8 * np.finfo(float).eps * tau_grid[-1]):
+        raise ValueError("tau_grid must be uniform, as np.linspace gives")
+    excited = _powers(_generator(params, 0.0), GROUND, h, n)[:, 1]
     # rho_ee is |psi_e|^2 >= 0 (the truncated state stays pure), but where it
     # touches 0 the 4x4 step can round it to about -1e-17
     density = params.gamma * np.maximum(excited, 0.0)
