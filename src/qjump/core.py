@@ -106,17 +106,6 @@ def time_steps(t_end, dt):
     return n, t_end / n
 
 
-def drift_angle(t, params: ModelParams, theta_start):
-    """Angle after drifting for time t >= 0 from theta_start (no jumps)."""
-    if not np.all(np.asarray(t) >= 0):
-        raise ValueError("t must be >= 0")
-    with np.errstate(all="ignore"):
-        theta = theta_start + 0.5 * params.omega * np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("t and theta_start must keep theta_start + omega*t/2 finite")
-    return reduce_angle(theta)
-
-
 def emission_intensity(theta, gamma):
     """Photo-emission rate gamma*sin^4(theta); lies in [0, gamma]."""
     return gamma * np.sin(theta) ** 4

@@ -175,7 +175,9 @@ class StepOperator:
         if dt * params.gamma > MAX_GAMMA_DT * (1 + 1e-12):
             raise ValueError(f"dt={dt} violates gamma*dt <= {MAX_GAMMA_DT}")
         self.grid = grid
-        self.courant = 0.5 * params.omega * dt / grid.cell_width
+        # a c past 1 by round-off, as the check above admits, counts as 1:
+        # 1 - c never goes negative
+        self.courant = min(0.5 * params.omega * dt / grid.cell_width, 1.0)
         self.survival = np.exp(-params.gamma * grid.sin2 * dt)
         self.loss = 1.0 - self.survival
         self._work = np.empty(grid.n_cells)
@@ -425,8 +427,9 @@ def solve(
 ) -> SolveResult:
     """Run the solver from a delta at params.theta0 to t_end.
 
-    The solve takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps, so
-    it ends exactly at t_end with a step no longer than dt.  Snapshots are
+    The solve takes the n_steps equal steps of t_end/n_steps that
+    core.time_steps counts, so it ends exactly at t_end with a step no longer
+    than dt (to 1e-13).  Snapshots are
     kept every snapshot_stride steps (default n_steps // 100) and at t_end.
     The not-yet-jumped point mass moves analytically along its characteristic
     with exact survival decay, and only the post-jump part lives on the grid,

@@ -288,6 +288,26 @@ class TestDualityCommand:
         assert rc == 2
         assert re.search(r"\bhorizon\b", capsys.readouterr().err)
 
+    def test_whole_steps_horizon_takes_them_at_courant_one(self, tmp_path, monkeypatch):
+        # 103 dt in floats is 103.00000000000001 dt: the step rule counts 103
+        # steps at c = 1, an exact shift, where a bare ceil takes 104
+        dt = (math.pi / 128) / (3.33 / 2)
+        solves, solve = [], pde.solve
+
+        def spy(params, grid, t_end, dt, **kwargs):
+            result = solve(params, grid, t_end, dt, **kwargs)
+            solves.append((params, grid, result))
+            return result
+
+        monkeypatch.setattr(pde, "solve", spy)
+        rc = cli.main(["duality", "--horizon", repr(103 * dt), "--sizes", "40", "80",
+                       "--out", str(tmp_path / "d.csv")])
+        assert rc == 0
+        [(params, grid, result)] = solves
+        n_steps = result.times.size - 1
+        assert n_steps == 103
+        assert pde.StepOperator(params, grid, result.times[-1] / n_steps).courant == 1.0
+
     def test_weak_drive_of_fig1_panel_b(self, tmp_path):
         # at omega/gamma = 1/6 the Courant-1 step would break gamma*dt <= 0.1
         out = tmp_path / "d.json"

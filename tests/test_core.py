@@ -20,7 +20,6 @@ HALF_PI = math.pi / 2
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
-times = st.floats(0.0, 50.0, allow_nan=False)
 
 
 class TestParams:
@@ -59,34 +58,13 @@ class TestTimeSteps:
 
 
 class TestDrift:
-    def test_identity_at_t0(self):
-        p = ModelParams(2.7, 1.0)
-        assert core.drift_angle(0.0, p, 0.3) == pytest.approx(0.3)
-
-    def test_half_period_advance(self):
-        p = ModelParams(2.0, 1.0)
-        assert core.drift_angle(math.pi / p.omega, p, 0.0) == pytest.approx(-HALF_PI)
-
-    def test_linear_drift(self):
-        p = ModelParams(2.0, 1.0)
-        assert core.drift_angle(0.7, p, 0.1) == pytest.approx(0.8)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            core.drift_angle(-0.1, ModelParams(1.0, 1.0), 0.0)
+    """pde and mc drift the angle inline; both reduce it with reduce_angle."""
 
     @given(angles)
     def test_reduction_lands_in_principal_cell(self, theta):
         r = core.reduce_angle(theta)
         assert -HALF_PI <= r < HALF_PI
         assert math.sin(r) ** 2 == pytest.approx(math.sin(theta) ** 2, abs=1e-9)
-
-    @given(times, times, angles)
-    def test_semigroup(self, t1, t2, theta):
-        p = ModelParams(1.3, 1.0)
-        once = core.drift_angle(t1 + t2, p, theta)
-        twice = core.drift_angle(t2, p, core.drift_angle(t1, p, theta))
-        assert once == pytest.approx(twice, abs=1e-7)
 
 
 class TestIntensities:
@@ -404,14 +382,6 @@ class TestInputContracts:
         p = ModelParams(omega, gamma)
         assert_finite_or_names(lambda: law(np.array([0.5, tau]), p), tau >= 0, "tau")
 
-    @settings(max_examples=200, deadline=None)
-    @given(t=any_float, theta_start=any_float, omega=st.floats(0.0, 1e3))
-    def test_drift_angle(self, t, theta_start, omega):
-        ok = t >= 0 and math.isfinite(theta_start + 0.5 * omega * t)
-        call = lambda: core.drift_angle(t, ModelParams(omega, 1.0), theta_start)
-        name = "t" if not (0 <= t < math.inf) else "theta_start"
-        assert_finite_or_names(call, ok, name)
-
     @settings(max_examples=50, deadline=None)
     @given(
         omega=st.floats(0.0, 1e300, exclude_min=True),
@@ -518,8 +488,6 @@ class TestInputContracts:
             core.waiting_time_density(math.nan, p)
         assert core.waiting_time_cdf(math.inf, p) == 1.0
         assert core.waiting_time_density(math.inf, p) == 0.0
-        with pytest.raises(ValueError, match=r"\bt\b"):
-            core.drift_angle(math.inf, p, 0.0)
         with pytest.raises(ValueError, match="omega"):
             core.mean_waiting_time(ModelParams(1e-300, 1.0))
         assert core.weak_field_delay_scale(ModelParams(1e-300, 1.0)) == pytest.approx(

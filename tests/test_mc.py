@@ -99,7 +99,8 @@ class TestTrajectoryStructure:
         rec = mc.ensemble_records(p, LITERAL, 10.0, 0, 1)
         assert rec.times.size == 0
         theta = mc.ensemble_theta_at(p, LITERAL, 0.7, 0, 1)
-        assert theta[0] == pytest.approx(core.drift_angle(0.7, p, 0.0))
+        # no jump: theta = omega t / 2 = 0.7, already in [-pi/2, pi/2)
+        assert theta[0] == pytest.approx(0.7)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -255,7 +256,7 @@ class TestHistograms:
         theta = mc.ensemble_theta_at(p, LITERAL, 1.0, 0, 1)
         h = mc.histogram_from_angles(theta, grid)
         assert h.values.sum() * grid.cell_width == pytest.approx(1.0)
-        peak = grid.cell_of(core.drift_angle(1.0, p, 0.0))
+        peak = grid.cell_of(1.0)  # omega t / 2 at t = 1, with no jump
         assert h.values[peak] > 0
 
     def test_t0_reproduces_initial_condition(self):

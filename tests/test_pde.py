@@ -138,6 +138,16 @@ class TestStep:
             state = op.apply(state)
             assert np.array_equal(state, np.roll(values, k))
 
+    def test_courant_past_one_by_round_off_is_one(self):
+        # the step check admits dt up to 1e-12 past the bound; the step there
+        # is still the exact shift, with no negative 1 - c weight
+        g = ThetaGrid(64)
+        p = ModelParams(2.0, 1e-300)
+        op = pde.StepOperator(p, g, g.cell_width / (0.5 * p.omega) * (1 + 1e-13))
+        assert op.courant == 1.0
+        values = 10.0 ** np.random.default_rng(3).uniform(-15.0, 0.0, g.n_cells)
+        assert np.array_equal(op.apply(values), np.roll(values, 1))
+
     def test_mass_conserved_and_positive(self):
         g = ThetaGrid(64)
         p = ModelParams(3.33, 1.0)
