@@ -244,9 +244,11 @@ def _run_duality(ns):
         for n in sorted(set(ns.sizes), reverse=True)
     }
     # Courant number 1 unless gamma*dt or the horizon's steps need less: at 1,
-    # transport is an exact shift and the PDE error is source/sink error alone;
-    # a stride of MAX_STEPS keeps only the first and last snapshots
-    dt = min(grid.cell_width / (0.5 * params.omega), pde.MAX_GAMMA_DT / params.gamma)
+    # transport is an exact shift and the PDE error is source/sink error alone.
+    # 2 w / omega as in pde.max_stable_dt: a tiny omega overflows it to inf,
+    # where halving omega would divide by 0.  A stride of MAX_STEPS keeps only
+    # the first and last snapshots
+    dt = min(2.0 * grid.cell_width / params.omega, pde.MAX_GAMMA_DT / params.gamma)
     reference = pde.solve(
         params, grid, ns.horizon, dt, snapshot_stride=core.MAX_STEPS
     ).final.values
@@ -255,7 +257,10 @@ def _run_duality(ns):
         hist = mc.histogram_from_angles(angles[n], grid)
         l1.append(float(np.sum(np.abs(hist.values - reference)) * grid.cell_width))
     if not all(x > 0.0 for x in l1):  # log 0 has no slope
-        raise ValueError(f"horizon={ns.horizon} is too short for a slope: an L1 distance is 0")
+        raise ValueError(
+            f"horizon={ns.horizon} is too short for a slope, or --omega={ns.omega} too "
+            "small to move anything off theta = 0: an L1 distance is 0"
+        )
     slope = float(np.polyfit(np.log(ns.sizes), np.log(l1), 1)[0])
     columns = {"ensemble_size": np.asarray(ns.sizes, float), "l1_distance": l1}
     return columns, {"slope": slope}

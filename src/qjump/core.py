@@ -20,8 +20,8 @@ HALF_PI = math.pi / 2.0
 # Gauss-Legendre panels evaluated per block of the waiting-time moments
 _PANELS_PER_BLOCK = 2048
 # most steps time_steps allows: a sparse-snapshot pde.solve peaks at 56 bytes
-# per step (seven float64 arrays; tracemalloc, 56.2 MB at 10^6 steps with a
-# snapshot every 10^4 on 256 cells), 0.56 GB at this count
+# per step (seven float64 arrays; tracemalloc, 56.2 MB at 10^6 steps, 112.4 MB
+# at 2 * 10^6, a snapshot every 10^4 on 256 cells), 0.56 GB at this count
 MAX_STEPS = 10**7
 # most Gauss-Legendre panels of the waiting-time moments: omega/gamma = 1e4
 # takes about 117 000 of them, 1 s on one core

@@ -14,13 +14,12 @@ params.theta0 and ends exactly at t_end.  Its snapshots are the rows of one
 table, checked once and returned read-only with their times; `Snapshots`
 makes each row's `ProbabilityField` view only when it is read.  A solve long
 enough for dense powers of A to pay, from (n / BREAK_EVEN_CELLS)^3 steps on n
-cells, advances in blocks of B ~ sqrt(n_steps) steps, as in ParaExp (Gander
-and Guettel, SIAM J. Sci. Comput. 35, C123 (2013)) in exact linear form: a
-short loop of matrix-vector products with A^B gives every block start, and
-batched work over all the blocks gives the rest.  With a snapshot every step
-(the fill), B - 1 stencil steps over the stack of block starts give every
-state; with a sparser stride (the blocks), a few matrix products give the
-population at every step from the block starts and the source forcing.  A
+cells, advances in uniform blocks of B ~ sqrt(n_steps) steps, as in ParaExp
+(Gander and Guettel, SIAM J. Sci. Comput. 35, C123 (2013)) in exact linear
+form: a short loop of matrix-vector products with A^B gives every block
+start, a few matrix products give the population at every step from the
+block starts and the source forcing, and stencil steps over the stack of the
+blocks that hold a snapshot give the snapshots, whatever the stride.  A
 shorter solve runs the stencil one state at a time.
 """
 
@@ -41,7 +40,7 @@ DEFAULT_CFL = 0.5
 MAX_GAMMA_DT = 0.1
 # A block is at most MAX_BLOCK steps (its forcing's Toeplitz product grows as
 # B^2) on at most MAX_BLOCK_CELLS cells (each dense n x n power under 8 MB).
-# The strided blocks run in chunks of about CHUNK_ELEMENTS numbers (1 MB) each.
+# The blocks run in chunks of about CHUNK_ELEMENTS numbers (1 MB) each.
 MAX_BLOCK = 1024
 MAX_BLOCK_CELLS = 1024
 BREAK_EVEN_CELLS = 28  # see _block_size
@@ -270,29 +269,16 @@ def _point_mass(angle, dt, params: ModelParams):
     return point
 
 
-def _block_size(n_steps, stride, n_cells):
+def _block_size(n_steps, n_cells):
     """Steps per dense block, or 1 to run the stencil step by step.
 
-    B is the largest power of two <= sqrt(n_steps), and at most a stride > 1:
-    B-row tables (B n^2) balance n_steps / B chain links (n^2 each) there.
-    With W = BREAK_EVEN_CELLS the stencil runs when n_steps or B n is below
-    (n / W)^3: a dense product costs about n^3, and a link n^2 per B steps.
+    B is the largest power of two <= sqrt(n_steps), where B-row tables (B n^2)
+    balance n_steps / B chain links (n^2 each).  The stencil runs below
+    (n / BREAK_EVEN_CELLS)^3 steps on n cells: a dense product costs about n^3.
     """
-    size = min(1 << (math.isqrt(n_steps).bit_length() - 1), MAX_BLOCK)
-    size = size if stride == 1 else min(size, stride)
-    if n_cells > MAX_BLOCK_CELLS or min(n_steps, size * n_cells) * BREAK_EVEN_CELLS**3 < n_cells**3:
+    if n_cells > MAX_BLOCK_CELLS or n_steps * BREAK_EVEN_CELLS**3 < n_cells**3:
         return 1
-    return size
-
-
-def _strided_blocks(n_steps, stride, size):
-    """The distinct lengths and the number of the strided blocks: each gap
-    between snapshots (the last one possibly shorter) is blocks of size steps
-    and a shorter remainder."""
-    full, last = divmod(n_steps, stride)
-    gaps = {stride, last} if full else {last}
-    lengths = {size for gap in gaps if gap >= size} | {gap % size for gap in gaps}
-    return lengths - {0}, full * -(-stride // size) + -(-last // size)
+    return min(1 << (math.isqrt(n_steps).bit_length() - 1), MAX_BLOCK)
 
 
 def _stencil(op: StepOperator, table, forcing, s2, stride, out):
@@ -305,45 +291,14 @@ def _stencil(op: StepOperator, table, forcing, s2, stride, out):
         values[source] += f
 
 
-def _chain(powers, starts, pushed):
-    """starts[b + 1] = powers[b] @ starts[b] + pushed[b], block after block."""
-    for b, power in enumerate(powers):
-        starts[b + 1] = power @ starts[b] + pushed[b]
-
-
-def _fill(op: StepOperator, table, forcing, s2, size, out):
-    """Every state from table[0], the state at step 0, into table[k] for step k.
-
-    The block starts table[::size] come first, each from the one before by
-    A^size and the forcing its block adds (as in _blocks).  Then size - 1
-    stencil steps advance the stack of every block's start at once, and step
-    j writes the states at steps j, size + j, ...; out[k] gets s2 . state for
-    every step k before the last.
-    """
-    n_steps = forcing.size
-    source = op.grid.source_index
-    full = n_steps // size
-    _, states, powers = _block_tables(op.matrix(), s2, source, size, {size})
-    starts = table[::size]
-    pushed = forcing[: full * size].reshape(full, size)[:, ::-1] @ states
-    _chain([powers[size]] * full, starts, pushed)
-    stack = starts[: -(-n_steps // size)].copy()
-    for j in range(1, size):
-        f = forcing[j - 1 :: size]
-        stack = op.apply(stack[: f.size], out=stack[: f.size])
-        stack[:, source] += f
-        table[j::size] = stack
-    np.matmul(table[:-1], s2, out=out[:-1])
-
-
-def _block_tables(a, s2, source, size, lengths):
-    """Rows s2^T A^j and (A^j e_source)^T for j < size, and A^L per block length.
+def _block_tables(a, s2, source, size):
+    """A^size and the rows s2^T A^j and (A^j e_source)^T for j < size, a power of two.
 
     Built by doubling: with P = A^span, the tables grow from span to 2 span
-    rows by one product with P, and A^L collects the P whose bit is set in L.
-    Every power keeps mass as A does: the round-off in each column sum, which
-    would otherwise compound through the products, goes back into the source
-    row, where the scheme reinjects what the sink removes.
+    rows by one product with P, and P squares to A^(2 span).  Every power
+    keeps mass as A does: the round-off in each column sum, which would
+    otherwise compound through the products, goes back into the source row,
+    where the scheme reinjects what the sink removes.
     """
 
     def keep_mass(m):
@@ -352,70 +307,76 @@ def _block_tables(a, s2, source, size, lengths):
 
     rows = s2[None, :]
     states = np.eye(a.shape[0])[[source]]
-    powers = dict.fromkeys(lengths)
-    span, p = 1, keep_mass(a)
-    while True:
-        for length, power in powers.items():
-            if length & span:
-                powers[length] = p if power is None else keep_mass(power @ p)
-        if span < size:
-            rows = np.vstack([rows, rows[: size - span] @ p])
-            states = np.vstack([states, states[: size - span] @ p.T])
-        if 2 * span > size:
-            return rows, states, powers
+    p = keep_mass(a)
+    for _ in range(size.bit_length() - 1):
+        rows = np.vstack([rows, rows @ p])
+        states = np.vstack([states, states @ p.T])
         p = keep_mass(p @ p)
-        span *= 2
+    return p, rows, states
 
 
 def _blocks(op: StepOperator, table, forcing, s2, stride, size, out):
-    """Blocks of at most size steps from table[0], the state at step 0.
+    """Uniform blocks of size steps from table[0], the state at step 0.
 
-    Blocks restart at every snapshot: each gap of stride steps (the last one
-    possibly shorter) is blocks of size steps and a shorter remainder.  The
-    state at step k goes into table[ceil(k / stride)], and out[k] gets
-    s2 . state for every step k before the last.  Over a block of L steps
-    from state v with source forcing f_0..f_{L-1}: the state ends at
-    A^L v + sum_j f_j A^(L-1-j) e_source, and
+    Block b starts at step b * size, whatever the snapshots; the state at
+    step k goes into table[ceil(k / stride)] if that row is a snapshot's, and
+    out[k] gets s2 . state for every step k before the last.  Over a block
+    from state v with source forcing f_0..f_(size-1), 0 past the last step,
+    the state ends at A^size v + sum_j f_j A^(size-1-j) e_source, and
     s2 . state_j = (s2^T A^j) v + sum_{i<j} h_(j-1-i) f_i, h_j = s2^T A^j e_source.
 
-    The blocks run in chunks of CHUNK_ELEMENTS / max(size, n) blocks, so the
-    work arrays do not grow with the step count.  A chunk lays out each
-    block's forcing as a row of size entries, zero-padded, and then: one
-    product of the reversed rows with the (A^i e_source) table gives every
-    block's pushed forcing; _chain gives every block start, the only loop
-    over blocks; and two products give every population, the starts times
-    the s2^T A^j rows plus the forcing rows times the strictly upper
-    triangular Toeplitz matrix of h.
+    Chunks of CHUNK_ELEMENTS / max(size, n) blocks keep the work arrays from
+    growing with the step count.  Per chunk, one product of the reversed
+    forcing rows with the (A^i e_source) table gives every block's pushed
+    forcing, a loop of products with A^size every block start, and two
+    products every population: the starts times the s2^T A^j rows plus the
+    forcing rows times the strictly upper triangular Toeplitz matrix of h.
+    Then stencil steps advance the starts of the blocks that hold a snapshot
+    and write each snapshot's row.
     """
     n_steps, n_cells = forcing.size, op.grid.n_cells
     source = op.grid.source_index
-    lengths, n_blocks = _strided_blocks(n_steps, stride, size)
-    rows, states, powers = _block_tables(op.matrix(), s2, source, size, lengths)
+    power, rows, states = _block_tables(op.matrix(), s2, source, size)
     # toeplitz[i, j] = h_(j-1-i) above the diagonal, 0 on and below it
     padded = np.append(np.zeros(size), rows[:-1, source])
     toeplitz = np.lib.stride_tricks.sliding_window_view(padded, size)[::-1].copy()
-    j = np.arange(size)
+    # the last step opens a block of its own when size divides it
+    n_blocks = n_steps // size + 1
+    # one stack row per block that holds a snapshot, ordered by the offset
+    # of its last one, latest first: the rows still stepping are a prefix
+    block, offset = np.divmod(np.append(np.arange(0, n_steps, stride), n_steps), size)
+    ends = np.flatnonzero(np.diff(block, append=n_blocks))
+    rank = np.argsort(-offset[ends], kind="stable")
+    held, reach = block[ends[rank]], offset[ends[rank]]
+    stack = np.empty((held.size, n_cells))
     chunk = max(1, CHUNK_ELEMENTS // max(size, n_cells))
     starts = np.empty((min(chunk, n_blocks) + 1, n_cells))
     starts[0] = table[0]
     for b in range(0, n_blocks, chunk):
-        gap, i = np.divmod(np.arange(b, min(b + chunk, n_blocks)), -(-stride // size))
-        first = gap * stride + i * size
-        # size steps on, or at the end of the gap, or at the last step
-        end = np.minimum(np.minimum(first + size, (gap + 1) * stride), n_steps)
-        m, length = first.size, (end - first)[:, None]
-        span = slice(first[0], end[-1])
-        # each block's forcing f_0..f_(L-1) as a row of size, zero-padded at
-        # the end, and reversed, f_(L-1)..f_0, zero-padded at the end
-        ahead, behind = np.zeros((2, m, size))
-        live = j < length
-        ahead[live] = behind[:, ::-1][j >= size - length] = forcing[span]
-        _chain([powers[n] for n in length[:, 0].tolist()], starts, behind @ states)
-        out[span] = (starts[:m] @ rows.T + ahead @ toeplitz)[live]
-        # the blocks that end on a snapshot fill their table rows
-        done = (end % stride == 0) | (end == n_steps)
-        table[-(-end[done] // stride)] = starts[1 : m + 1][done]
+        m = min(chunk, n_blocks - b)
+        span = forcing[b * size : (b + m) * size]
+        ahead = np.zeros((m, size))
+        ahead.ravel()[: span.size] = span
+        pushed = ahead[:, ::-1] @ states
+        for i in range(m):
+            starts[i + 1] = power @ starts[i] + pushed[i]
+        pops = starts[:m] @ rows.T + ahead @ toeplitz
+        out[b * size : b * size + span.size] = pops.ravel()[: span.size]
+        inside = (b <= held) & (held < b + m)
+        stack[inside] = starts[held[inside] - b]
         starts[0] = starts[m]
+    # the rows that step on to each offset, each up to its block's last snapshot
+    active = np.searchsorted(-reach, -np.arange(reach[0] + 1), side="right")
+    snapshot_offsets = set(offset.tolist())
+    for j, a in enumerate(active.tolist()):
+        step = held[:a] * size + j
+        if j:
+            live = op.apply(stack[:a], out=stack[:a])
+            live[:, source] += forcing[step - 1]
+        if j in snapshot_offsets:
+            kept = (step % stride == 0) | (step == n_steps)
+            # with a snapshot every step, every row is kept and copies once
+            table[-(-step[kept] // stride)] = stack[:a] if kept.all() else stack[:a][kept]
 
 
 def solve(
@@ -444,7 +405,7 @@ def solve(
         snapshot_stride = max(1, n_steps // 100)
     if not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
-    # a longer stride keeps the same two snapshots, and overflows np.divmod
+    # a longer stride keeps the same two snapshots, and keeps np.arange's steps integers
     snapshot_stride = min(snapshot_stride, n_steps)
     dx, s2 = grid.cell_width, grid.sin2
     times = np.linspace(0.0, t_end, n_steps + 1)
@@ -453,15 +414,13 @@ def solve(
     # density the point mass feeds into the source cell during step k
     forcing = (point[:-1] - point[1:]) / dx
 
-    size = _block_size(n_steps, snapshot_stride, grid.n_cells)
+    size = _block_size(n_steps, grid.n_cells)
     grid_rho1 = np.empty(n_steps + 1)
     # the snapshot table: row i holds the state at step min(i * stride, n_steps)
     steps = np.append(np.arange(0, n_steps, snapshot_stride), n_steps)
     table = np.zeros((steps.size, grid.n_cells))
     if size == 1:
         _stencil(op, table, forcing, s2, snapshot_stride, grid_rho1)
-    elif snapshot_stride == 1:
-        _fill(op, table, forcing, s2, size, grid_rho1)
     else:
         _blocks(op, table, forcing, s2, snapshot_stride, size, grid_rho1)
     grid_rho1[n_steps] = s2 @ table[-1]

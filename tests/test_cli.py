@@ -279,6 +279,15 @@ class TestDualityCommand:
         assert rc == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("omega", ["5e-324", "1e-300"])
+    def test_tiny_omega_refusal_names_omega(self, tmp_path, capsys, omega):
+        # nothing leaves theta = 0, so every L1 distance is 0 at any horizon;
+        # at 5e-324 the Courant-1 step once divided by 0.5 * omega = 0
+        rc = cli.main(["duality", "--omega", omega, "--sizes", "10", "100",
+                       "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert "--omega" in capsys.readouterr().err
+
     def test_long_horizon_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
         def solve(*args, **kwargs):
             raise AssertionError("pde.solve ran before the horizon was checked")

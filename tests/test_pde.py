@@ -364,7 +364,7 @@ class TestSolve:
         dt = pde.max_stable_dt(p, g)
         want = pde.solve(p, g, 2000 * dt, dt, snapshot_stride=2000)
         r = pde.solve(p, g, 2000 * dt, dt, snapshot_stride=stride)
-        assert path(2000, stride, 64) == path(2000, 2000, 64) == "blocks"
+        assert path(2000, 64) == "blocks"
 
         def digest(r):
             return sha256_of(r.times, r.rho0, r.rho1, *(s.values for s in r.snapshots))
@@ -444,11 +444,9 @@ def stencil_reference(p, grid, times, stride):
     return np.array(rho0), np.array(rho1), snapshots
 
 
-def path(n_steps, stride, n_cells):
-    """The way solve advances: the stencil, strided blocks, or the stride-1 fill."""
-    if pde._block_size(n_steps, stride, n_cells) == 1:
-        return "stencil"
-    return "fill" if stride == 1 else "blocks"
+def path(n_steps, n_cells):
+    """The way solve advances, whatever its snapshot stride: the stencil or the blocks."""
+    return "stencil" if pde._block_size(n_steps, n_cells) == 1 else "blocks"
 
 
 def solve_case(omega, theta0, n_cells, n_steps, stride):
@@ -488,7 +486,7 @@ class TestBlockPropagation:
             case(0.0, math.pi / 4, 64, 300, 10, path="blocks"),  # no transport
             case(2.0, 0.3, 64, 600, 37, path="blocks"),  # Courant number exactly 1
             case(3.33, 0.0, 64, 1000, 300, path="blocks"),  # stride divides neither
-            case(3.33, 0.2, 64, 200, 1, path="fill"),  # every state kept
+            case(3.33, 0.2, 64, 200, 1, path="blocks"),  # every state kept
             case(1.0, 0.4, 16, 3000, 3000, path="blocks"),
             case(3.33, -0.7, 257, 2000, 400, path="blocks"),
             # 4000 steps, under the break-even (512 / 28)^3 = 6114
@@ -496,7 +494,7 @@ class TestBlockPropagation:
         ],
     )
     def test_matches_stencil(self, omega, theta0, n_cells, n_steps, stride, want_path):
-        assert path(n_steps, stride, n_cells) == want_path
+        assert path(n_steps, n_cells) == want_path
         r, p, g = solve_case(omega, theta0, n_cells, n_steps, stride)
         assert_matches_stencil(r, p, g, stride)
 
@@ -518,13 +516,18 @@ class TestBlockPropagation:
             # the point mass underflows to 0 at step 15 022: no forcing in
             # 53 % of the steps, most of the blocks
             (2.0, 0.3, 16, 32_000, 3000, 64),
+            (3.33, 0.3, 64, 1357, 13, 32),  # two or three snapshots in each block
+            # the last step at offset 0 of a block that holds nothing else
+            (2.0, 0.3, 64, 640, 100, 32),
+            # the last block ends at offset 8, and the stack steps on to 30
+            (3.33, 0.2, 64, 1000, 30, 32),
         ],
     )
     def test_block_size_matches_stencil(
         self, monkeypatch, omega, theta0, n_cells, n_steps, stride, size
     ):
-        # the fill and the blocks at a size set here, whatever _block_size
-        # picks, and the blocks in chunks of three, which cut gaps apart
+        # the blocks at a size set here, whatever _block_size picks, in
+        # chunks of three blocks
         monkeypatch.setattr(pde, "_block_size", lambda *args: size)
         monkeypatch.setattr(pde, "CHUNK_ELEMENTS", 3 * max(size, n_cells))
         r, p, g = solve_case(omega, theta0, n_cells, n_steps, stride)
@@ -534,15 +537,15 @@ class TestBlockPropagation:
         "n_steps, n_cells, want_path",
         [
             (100, 256, "stencil"),  # no_pump: too short for the powers
-            (204, 64, "fill"),  # the refinement ladder: 3.0 at omega = 3.33
-            (815, 256, "fill"),
+            (204, 64, "blocks"),  # the refinement ladder: 3.0 at omega = 3.33
+            (815, 256, "blocks"),
             (1629, 512, "stencil"),
-            (20_000, 256, "fill"),
+            (20_000, 256, "blocks"),
             (20_000, 2048, "stencil"),  # past MAX_BLOCK_CELLS
         ],
     )
     def test_stride_one_path(self, n_steps, n_cells, want_path):
-        assert path(n_steps, 1, n_cells) == want_path
+        assert path(n_steps, n_cells) == want_path
 
     @pytest.mark.parametrize(
         "n_steps, stride, n_cells, size",
@@ -559,47 +562,48 @@ class TestBlockPropagation:
             (150, 7, 256, 1),
             (2000, 400, 128, 32),
             (1000, 1, 128, 16),
-            (1357, 13, 256, 13),  # qjump pde: capped by the stride
+            (1357, 13, 256, 32),  # qjump pde: blocks past its snapshots
             (4000, 4000, 512, 1),  # the stencil guards
             (40_000, 4000, 1024, 1),
             (20_000, 1, 2048, 1),  # past MAX_BLOCK_CELLS
-            (1000, 2, 256, 1),  # B n below (n / 28)^3: a link costs more
-            (1000, 4, 256, 4),
-            (7000, 8, 512, 1),
-            (7000, 16, 512, 16),
-            (49_000, 16, 1024, 1),
+            # short strides, which once capped B, run the same blocks
+            (1000, 2, 256, 16),
+            (1000, 4, 256, 16),
+            (7000, 8, 512, 64),
+            (7000, 16, 512, 64),
+            (49_000, 16, 1024, 128),  # just past (1024 / 28)^3 = 48 913.2
         ],
     )
     def test_block_size(self, n_steps, stride, n_cells, size):
-        assert pde._block_size(n_steps, stride, n_cells) == size
+        # the stride names the solve a row comes from; B does not read it
+        assert pde._block_size(n_steps, n_cells) == size
 
 
 # sha256 of the float64 bytes of a solve's (times, rho0, rho1, stacked
 # snapshot values, snapshot times), of StepOperator.matrix(), and of
-# --no-timestamp CLI files, recorded while the solver still built and checked
-# each snapshot on its own.  The two runs on the fill were recorded on it;
-# stencil_stride1 differs from its stencil run (digest 00142e45...) by at most
-# 3.4e-16 in rho and 4.5e-16 in L1 per snapshot.  blocks and cli_pde were
-# recorded on the chunked blocks with re-fitted block sizes: against the
-# blocks run one at a time (digests 9ebd6efa..., 49ec21c0...) blocks moved by
-# at most 7.8e-16 in rho and 8.2e-16 in L1 per snapshot, and the qjump pde
-# solve by 5.6e-16 and 1.5e-17.  fill and cli_duality were re-recorded when
-# B came from sqrt(n_steps) (fill 32 -> 16 steps, the duality reference
-# 8 -> 16): against the priced sizes (digests 3eb798ab..., 7adb1ba9...) fill
-# moved by at most 4.4e-16 in rho0, 3.9e-16 in rho1 and 4.4e-16 in L1 per
-# snapshot, and the duality reference by 3.6e-16 in L1, which moved its L1
-# distances by at most 5.6e-17 and its slope by 4.4e-16
+# --no-timestamp CLI files.  stencil_stride7, no_pump and the matrices are
+# stencil bits.  The other five were re-recorded when one path of uniform
+# blocks (populations from the block products, snapshots by stencil steps
+# from the block starts) replaced the stride-1 fill and the blocks that
+# restarted at every snapshot.  Against the last digests of those paths
+# (18eecaa5..., 3cb9264c..., 7f1815ed..., bd1a32d9..., 1c9da19a...):
+# stencil_stride1 moved by at most 5.6e-16 in rho and 0 in the snapshots,
+# fill by 2.2e-16 in rho0, 1.7e-16 in rho1 and 0 in the snapshots, blocks
+# by 5.6e-16 in rho and 1.7e-16 in L1 per snapshot, the qjump pde solve
+# (B 13 -> 32) by 1.4e-15 in rho and 2.6e-15 in L1 per snapshot, and the
+# qjump duality reference by 2.0e-16 in L1, which moved its L1 distances by
+# at most 2.8e-17 and its slope by 3.3e-16
 PDE_DIGESTS = {
-    "stencil_stride1": "18eecaa54dedbbce1f6ae9226a3a8d80bae1fcd9915247878bd3f16ac6b1514a",
-    "fill": "3cb9264c52f36f15e4b64b8bc23151c0aee2848f33bfe0bcdb04243bda33ebc2",
+    "stencil_stride1": "64aa6dbe7a2531acf39179a4c6ba7402aadce83ae37376884c2b287c8705ab51",
+    "fill": "1cc7e6290b18b38722d2df1f37b6e28d617e55c85e695860c964843e3d821555",
     "stencil_stride7": "00863d10a947c7a0b4f6fc70225d2982685d565403ab299e3d916338c1b59c73",
-    "blocks": "7f1815ed504424aafd7f4f9d718a53660a6609d51a5bdf9c7d5daa0c2d12cd99",
+    "blocks": "7d11b12db92ed8ecfe6ec456f183517d09da2001f9b79cdd6dcc183fff93deda",
     "no_pump": "357adbbb3d962692a143b1216b8330d6631c844c8d228a95b4563bf483b3af1b",
     "matrix_c0": "5715e0ca106ea37262bff18d41570056ea0f27e924b4b71e22aec7bbce13976f",
     "matrix_c_mid": "b8c049cac6f66ff5426547c981cd14116b049d64cd4b9cb9b4a423c0a5bcf992",
     "matrix_c1": "5c7002b67167a40d5443d505c3b284f9fe502124b23d8e9b9b4f6054622fa7b5",
-    "cli_pde": "bd1a32d9e24517a61547670974fc92f51337b9955a071da1ff1800c10876f1c9",
-    "cli_duality": "1c9da19acb5e386d205b49eb1cb695d690ef4e3333d6dc7749b284e278c11301",
+    "cli_pde": "d0ff7c2cc01bbc2e00e4bdc9508a98ea9252217e11494739799253c5a7c61c52",
+    "cli_duality": "8f592a2eefb40c01b586b81e8821e5c34a82b49fb8311f4492b412c1544caaab",
 }
 # (params, n_cells, t_end, snapshot_stride) at dt = max_stable_dt; an integer
 # t_end counts steps of dt
@@ -612,11 +616,11 @@ SOLVE_RUNS = {
 }
 # the path each run takes; a block-size rule that moves one shows here first
 SOLVE_PATHS = {
-    "stencil_stride1": "fill",
+    "stencil_stride1": "blocks",
     "stencil_stride7": "stencil",
     "blocks": "blocks",
     "no_pump": "stencil",
-    "fill": "fill",
+    "fill": "blocks",
 }
 # (params, dt) on a 64-cell grid: Courant number 0, strictly between 0 and 1,
 # and 1 (dt=None: one cell width at omega = 2)
@@ -657,7 +661,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", list(SOLVE_RUNS))
     def test_solve_unchanged(self, name):
         r, g, _, stride = solve_run(name)
-        assert path(r.times.size - 1, stride, g.n_cells) == SOLVE_PATHS[name]
+        assert path(r.times.size - 1, g.n_cells) == SOLVE_PATHS[name]
         values = np.stack([s.values for s in r.snapshots])
         times = np.array([s.time for s in r.snapshots])
         assert sha256_of(r.times, r.rho0, r.rho1, values, times) == PDE_DIGESTS[name]
@@ -720,8 +724,8 @@ class TestSnapshotTable:
     @pytest.mark.parametrize("stride", [1, 37])
     def test_table_is_checked_once(self, monkeypatch, bad, stride):
         # a step that spoils the state must still fail the solve's one check,
-        # on the fill (stride 1) and on the blocks
-        assert path(600, stride, 64) == ("fill" if stride == 1 else "blocks")
+        # on the blocks with a snapshot every step and every 37 steps
+        assert path(600, 64) == "blocks"
         apply = pde.StepOperator.apply
 
         def spoiled(self, values, out=None):
@@ -736,8 +740,11 @@ class TestSnapshotTable:
             pde.solve(p, g, 600 * dt, dt, stride)
 
 
-# (path, stride, cells): 600 steps take each of solve's three paths
-VIEW_PATHS = [("fill", 1, 64), ("stencil", 7, 512), ("blocks", 37, 64)]
+# (name, path, stride, cells): 600 steps on the blocks with a snapshot every
+# step and every 37 steps, and on the stencil
+VIEW_PATHS = [
+    ("fill", "blocks", 1, 64), ("stencil", "stencil", 7, 512), ("blocks", "blocks", 37, 64)
+]
 
 
 class TestSnapshotViews:
@@ -745,8 +752,8 @@ class TestSnapshotViews:
 
     @pytest.fixture(params=VIEW_PATHS, ids=[name for name, *_ in VIEW_PATHS])
     def result(self, request):
-        name, stride, n_cells = request.param
-        assert path(600, stride, n_cells) == name
+        _, want_path, stride, n_cells = request.param
+        assert path(600, n_cells) == want_path
         p, g = ModelParams(3.33, 1.0, 0.3), ThetaGrid(n_cells)
         dt = pde.max_stable_dt(p, g)
         r = pde.solve(p, g, 600 * dt, dt, stride)
