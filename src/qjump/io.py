@@ -2,7 +2,10 @@
 
 CSV dialect: comma separator, '.' decimal point, one header row, LF line
 endings.  Every file starts with '# key=value' comment lines carrying the
-full run configuration, so any output can be regenerated from itself.
+full run configuration, so any output can be regenerated from itself.  A
+timestamped file also records its provenance beside the time: the qjump and
+numpy versions and the git commit of the checkout that holds the package
+(None outside one).  Without the timestamp the bytes depend on the run alone.
 
 Both writers take the same output: equal-length named columns plus named
 scalars.  CSV puts the scalars in the header next to the configuration; JSON
@@ -13,19 +16,54 @@ scalar may not share a name with a configuration key, which it would hide.
 from __future__ import annotations
 
 import json
+import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
+
+from . import __version__
 
 # rows that write_csv converts and writes at a time: one write of the whole
 # body held several copies of it in memory at once
 _CSV_ROWS = 256
 
 
+def _git_sha():
+    """Commit checked out where src/qjump lives, read from .git with the stdlib.
+
+    HEAD names the commit, or a ref whose file or packed-refs line does;
+    None outside a git checkout, or when none of them gives 40 hex digits.
+    """
+    git = Path(__file__).resolve().parents[2] / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        ref = head.removeprefix("ref: ")
+        if ref == head:  # a detached HEAD holds the commit itself
+            sha = head
+        elif (git / ref).is_file():
+            sha = (git / ref).read_text().strip()
+        else:
+            # each line of packed-refs is "<sha> <ref>"
+            lines = (git / "packed-refs").read_text().splitlines()
+            sha = next((line[:40] for line in lines if line[41:] == ref), "")
+    except OSError:
+        return None
+    return sha if re.fullmatch("[0-9a-f]{40}", sha) else None
+
+
+def _stamp() -> dict:
+    """When and from what an output was made."""
+    return {
+        "generated": datetime.now(timezone.utc).isoformat(),
+        "qjump_version": __version__,
+        "numpy_version": np.__version__,
+        "git_sha": _git_sha(),
+    }
+
+
 def config_header_lines(config: dict, timestamp: bool = True) -> list[str]:
-    lines = []
-    if timestamp:
-        lines.append(f"# generated={datetime.now(timezone.utc).isoformat()}")
+    lines = [f"# {k}={v}" for k, v in _stamp().items()] if timestamp else []
     for key in sorted(config):
         lines.append(f"# {key}={config[key]}")
     return lines
@@ -63,7 +101,7 @@ def write_json(
     _check_names(config, scalars)
     doc = {"config": {k: config[k] for k in sorted(config)}}
     if timestamp:
-        doc["generated"] = datetime.now(timezone.utc).isoformat()
+        doc.update(_stamp())
     doc.update({k: np.asarray(v).tolist() for k, v in columns.items()})
     doc.update(scalars)
     with open(path, "w", newline="\n") as fh:

@@ -51,7 +51,6 @@ class EmissionTimes(NamedTuple):
     """Emission times of one trajectory: a view into an `Emissions` table."""
 
     times: np.ndarray
-    t_end: float
 
 
 class Emissions:
@@ -83,7 +82,7 @@ class Emissions:
     def __iter__(self):
         bounds = self.offsets.tolist()
         for a, b in zip(bounds[:-1], bounds[1:]):
-            yield EmissionTimes(self.times[a:b], self.t_end)
+            yield EmissionTimes(self.times[a:b])
 
 
 def _lane_starts(span, ids, t, stop, lanes):

@@ -11,7 +11,7 @@ At a fixed step the update is one column-stochastic n x n matrix A, a
 Markov-chain approximation in the sense of Kushner and Dupuis; `StepOperator`
 holds it and applies it as a stencil.  `solve` starts from a point mass at
 params.theta0 and ends exactly at t_end.  Its snapshots are the rows of one
-table, checked once and returned read-only with their times; `Snapshots`
+table, checked once and returned read-only beside their times; `Snapshots`
 makes each row's `ProbabilityField` view only when it is read.  A solve long
 enough for dense powers of A to pay, from (n / BREAK_EVEN_CELLS)^3 steps on n
 cells, advances in uniform blocks of B ~ sqrt(n_steps) steps, as in ParaExp
@@ -29,7 +29,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -86,11 +86,10 @@ class ThetaGrid:
 # eq=False: field-wise == over ndarrays is ambiguous, so == is identity
 @dataclass(eq=False, slots=True)
 class ProbabilityField:
-    """Discretized density p(theta) on a ThetaGrid at a given time."""
+    """Discretized density p(theta) on a ThetaGrid."""
 
     grid: ThetaGrid
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -104,46 +103,33 @@ class ProbabilityField:
             raise ValueError("densities must be finite and nonnegative")
 
 
-def _view(grid: ThetaGrid, values, time: float) -> ProbabilityField:
+def _view(grid: ThetaGrid, values) -> ProbabilityField:
     """A field over a row of a table that has passed ProbabilityField._check."""
     view = object.__new__(ProbabilityField)
-    view.grid, view.values, view.time = grid, values, time
+    view.grid, view.values = grid, values
     return view
 
 
 class Snapshots(Sequence):
-    """The rows of a snapshot table as `ProbabilityField` views, made as they are read.
+    """A table's rows as `ProbabilityField` views, made as they are read; indexes,
+    slices (a `Snapshots` too) and iteration behave as on a list of the views."""
 
-    Indexes, slices (a `Snapshots` too) and iteration behave as on a list of
-    the views.  final, if given, is the view of the last row, handed out
-    for it each time.
-    """
+    __slots__ = ("grid", "table")
 
-    __slots__ = ("grid", "table", "times", "final")
-
-    def __init__(self, grid: ThetaGrid, table, times, final=None):
-        self.grid, self.table, self.times, self.final = grid, table, times, final
+    def __init__(self, grid: ThetaGrid, table):
+        self.grid, self.table = grid, table
 
     def __len__(self):
-        return len(self.times)
+        return len(self.table)
 
     def __getitem__(self, index):
-        rows = range(len(self))
         if isinstance(index, slice):
-            kept = rows[index]
-            final = self.final if kept and kept[-1] == rows[-1] else None
-            return Snapshots(self.grid, self.table[index], self.times[index], final)
-        k = rows[index]  # IndexError past either end
-        if self.final is not None and k == rows[-1]:
-            return self.final
-        return _view(self.grid, self.table[k], float(self.times[k]))
+            return Snapshots(self.grid, self.table[index])
+        k = range(len(self))[index]  # IndexError past either end
+        return _view(self.grid, self.table[k])
 
     def __iter__(self):
-        # float() one time at a time: a list of every time would add to a loop's peak
-        views = map(_view, repeat(self.grid), self.table, map(float, self.times))
-        if self.final is None:
-            return views
-        return chain(islice(views, len(self) - 1), (self.final,))
+        return map(_view, repeat(self.grid), self.table)
 
 
 def max_stable_dt(params: ModelParams, grid: ThetaGrid):
@@ -221,7 +207,7 @@ class SolveResult:
     """Sampled populations plus periodic field snapshots, the last at t_end.
 
     Row i of the read-only table is the density at snapshot_times[i];
-    snapshots views the rows as `ProbabilityField`s, and final is the last.
+    snapshots views the rows as `ProbabilityField`s, and final views the last.
     """
 
     times: np.ndarray
@@ -230,10 +216,10 @@ class SolveResult:
     table: np.ndarray
     snapshot_times: np.ndarray
     final: ProbabilityField
-    snapshots: Snapshots = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.snapshots = Snapshots(self.final.grid, self.table, self.snapshot_times, self.final)
+    @property
+    def snapshots(self) -> Snapshots:
+        return Snapshots(self.final.grid, self.table)
 
 
 def _hazard_integrals(angle, dt, params: ModelParams):
@@ -432,5 +418,4 @@ def solve(
     rho1 = dx * grid_rho1 + point * np.sin(angle) ** 2
     # A keeps mass, so the grid holds the cumulative forcing, which is what
     # the point mass has lost: rho0 + rho1 stays at the unit total
-    final = _view(grid, table[-1], float(snapshot_times[-1]))
-    return SolveResult(times, 1.0 - rho1, rho1, table, snapshot_times, final)
+    return SolveResult(times, 1.0 - rho1, rho1, table, snapshot_times, _view(grid, table[-1]))

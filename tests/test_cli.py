@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qjump
 from qjump import baseline, cli, io, pde
 from qjump.core import ModelParams
 
@@ -466,6 +467,63 @@ def test_writers_refuse_a_scalar_named_like_a_config_key(tmp_path, writer):
     with pytest.raises(ValueError, match="panel"):
         writer(out, {"tau": [0.0, 1.0]}, {"panel": "a"}, {"panel": "both"})
     assert not out.exists()
+
+
+PROVENANCE = ["generated", "qjump_version", "numpy_version", "git_sha"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_timestamp_carries_provenance(tmp_path, fmt):
+    # a timestamped file says when and from what it was made, right after the
+    # config's start; --no-timestamp output holds none of it
+    argv = ["delay", *SMALL_RUNS["delay"], "--format", fmt]
+    stamped, bare = tmp_path / f"stamped.{fmt}", tmp_path / f"bare.{fmt}"
+    assert cli.main([*argv, "--out", str(stamped)]) == 0
+    assert cli.main([*argv, "--no-timestamp", "--out", str(bare)]) == 0
+    if fmt == "json":
+        doc = json.loads(stamped.read_text())
+        assert list(doc)[: 1 + len(PROVENANCE)] == ["config", *PROVENANCE]
+        stamp = {key: doc.pop(key) for key in PROVENANCE}
+        assert doc == json.loads(bare.read_text())
+    else:
+        lines = read_lines(stamped)
+        stamp = dict(line[2:].split("=", 1) for line in lines[: len(PROVENANCE)])
+        assert list(stamp) == PROVENANCE and lines[len(PROVENANCE) :] == read_lines(bare)
+        stamp["git_sha"] = None if stamp["git_sha"] == "None" else stamp["git_sha"]
+    assert not any(key in bare.read_text() for key in PROVENANCE)
+    assert stamp["qjump_version"] == qjump.__version__
+    assert stamp["numpy_version"] == np.__version__
+    assert stamp["git_sha"] == io._git_sha()
+    assert stamp["git_sha"] is None or re.fullmatch("[0-9a-f]{40}", stamp["git_sha"])
+
+
+SHA = "0123456789abcdef0123456789abcdef01234567"
+GIT_LAYOUTS = {
+    "no_checkout": ({}, None),
+    "loose_ref": ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": SHA + "\n"}, SHA),
+    "packed_ref": (
+        {
+            "HEAD": "ref: refs/heads/main\n",
+            "packed-refs": f"# pack-refs with: peeled sorted\n{SHA[::-1]} refs/heads/dev\n"
+            f"{SHA} refs/heads/main\n^{SHA[::-1]}\n",
+        },
+        SHA,
+    ),
+    "detached": ({"HEAD": SHA + "\n"}, SHA),
+    "ref_missing": ({"HEAD": "ref: refs/heads/gone\n", "packed-refs": f"{SHA} refs/x\n"}, None),
+    "not_a_sha": ({"HEAD": "abc123\n"}, None),
+}
+
+
+@pytest.mark.parametrize("layout", list(GIT_LAYOUTS))
+def test_git_sha_is_read_from_the_checkout(tmp_path, monkeypatch, layout):
+    # io.py as it lies in a checkout at tmp_path: src/qjump/io.py
+    monkeypatch.setattr(io, "__file__", str(tmp_path / "src" / "qjump" / "io.py"))
+    files, want = GIT_LAYOUTS[layout]
+    for name, text in files.items():
+        (tmp_path / ".git" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / ".git" / name).write_text(text)
+    assert io._git_sha() == want
 
 
 def test_csv_cells_are_repr_of_float(tmp_path):

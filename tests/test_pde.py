@@ -96,7 +96,7 @@ class TestField:
     def test_equality_is_identity(self):
         g = ThetaGrid(64)
         f = ProbabilityField(g, spike(g, 0.3))
-        assert (f == ProbabilityField(f.grid, f.values.copy(), f.time)) is False
+        assert (f == ProbabilityField(f.grid, f.values.copy())) is False
         assert (f == f) is True
 
 
@@ -384,14 +384,14 @@ class TestSolve:
         r = pde.solve(ModelParams(0.1, 1.0), ThetaGrid(64), t_end, dt)
         assert r.times.size == n_steps + 1
         assert r.times[-1] == t_end
-        assert r.final.time == t_end
+        assert r.snapshot_times[-1] == t_end
         assert r.times[1] == t_end / n_steps <= dt
 
     @pytest.mark.parametrize("dt, stride", [(0.03, 1), (0.03, 7), (0.03, 35), (0.001, 300)])
     def test_snapshots_end_at_t_end(self, dt, stride):
         r = pde.solve(ModelParams(0.1, 1.0), ThetaGrid(64), 1.0, dt, snapshot_stride=stride)
-        assert [s.time for s in r.snapshots] == [*r.times[:-1:stride], 1.0]
-        assert r.final is r.snapshots[-1]
+        assert r.snapshot_times.tolist() == [*r.times[:-1:stride], 1.0]
+        assert r.final.values.tobytes() == r.snapshots[-1].values.tobytes()
 
     def test_whole_step_count_is_kept(self):
         # 100_000 * dt / dt is not exactly 100_000 in floating point
@@ -663,8 +663,7 @@ class TestBitIdentity:
         r, g, _, stride = solve_run(name)
         assert path(r.times.size - 1, g.n_cells) == SOLVE_PATHS[name]
         values = np.stack([s.values for s in r.snapshots])
-        times = np.array([s.time for s in r.snapshots])
-        assert sha256_of(r.times, r.rho0, r.rho1, values, times) == PDE_DIGESTS[name]
+        assert sha256_of(r.times, r.rho0, r.rho1, values, r.snapshot_times) == PDE_DIGESTS[name]
 
     @pytest.mark.parametrize("name", list(SOLVE_RUNS))
     def test_solve_matches_stencil(self, name):
@@ -710,9 +709,9 @@ class TestSnapshotTable:
         table = r.snapshots[0].values.base
         assert table is not None and table.shape == (len(r.snapshots), g.n_cells)
         want_times = [*r.times[:-1:stride], r.times[-1]]
-        assert [s.time for s in r.snapshots] == want_times
+        assert r.snapshot_times.tolist() == want_times
         for s in r.snapshots:
-            assert type(s) is ProbabilityField and type(s.time) is float
+            assert type(s) is ProbabilityField
             assert s.grid is g and s.values.base is table
         # the public constructor still checks a row it is handed
         bad = r.snapshots[1].values.copy()
@@ -762,13 +761,13 @@ class TestSnapshotViews:
 
     @staticmethod
     def rows(r):
-        """Each table row's bytes and its time, as a list of the views would hold them."""
-        return [(v.tobytes(), t) for v, t in zip(r.table, r.snapshot_times.tolist())]
+        """Each table row's bytes, as a list of the views would hold them."""
+        return [v.tobytes() for v in r.table]
 
     @staticmethod
     def key(s):
-        assert type(s) is ProbabilityField and type(s.time) is float
-        return s.values.tobytes(), s.time
+        assert type(s) is ProbabilityField
+        return s.values.tobytes()
 
     def test_behaves_as_the_list(self, result):
         r, want = result, self.rows(result)
@@ -790,8 +789,8 @@ class TestSnapshotViews:
 
     def test_final_is_the_last_view(self, result):
         r = result
-        assert r.final is r.snapshots[-1] is list(r.snapshots)[-1] is r.snapshots[1:][-1]
-        assert r.final.time == r.times[-1] and r.final.values.base is r.table
+        assert r.final.values.base is r.table and r.final.grid is r.snapshots.grid
+        assert r.final.values.tobytes() == r.snapshots[-1].values.tobytes()
 
     def test_table_is_read_only(self, result):
         r = result
@@ -800,6 +799,8 @@ class TestSnapshotViews:
                 array[0] = 1.0
 
     def test_views_are_slotted(self, result):
+        # a view is its grid and row; the row's time is in snapshot_times alone
+        assert ProbabilityField.__slots__ == ("grid", "values")
         with pytest.raises(AttributeError):
             result.final.note = "no __dict__"
 
