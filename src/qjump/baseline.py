@@ -99,8 +99,9 @@ def _powers(generator, x, h, n):
 def integrate(x0, params: ModelParams, t_end: float, dt: float, truncated: bool = False):
     """Evolution from the 4-vector x0; returns (times, states), states[k] at times[k].
 
-    Takes n_steps = ceil(t_end/dt) equal steps of t_end/n_steps, each exact
-    up to a round-off of about 1e-15 * h * (omega + gamma).
+    Takes the n_steps equal steps of t_end/n_steps that core.time_steps
+    counts, ceil(t_end/dt) or the whole number within a relative 1e-13 of
+    t_end/dt, each exact up to a round-off of about 1e-15 * h * (omega + gamma).
     """
     try:
         x = np.asarray(x0, dtype=float)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: delay | pde | mc | baseline | sweep | fig1 | duality.  Each
-runner reads the parsed flags and returns (columns, scalars), or one pair per
-panel for fig1, and one writer emits them: CSV as a table with the scalars in
+Subcommands: delay | pde | mc | baseline | sweep | fig1 | duality.  The
+parser registers each subcommand's runner as the parsed `run`, which reads
+the parsed flags and returns (columns, scalars), or one pair per panel for
+fig1, and one writer emits them: CSV as a table with the scalars in
 the '# key=value' header, JSON as lists followed by the scalars.  The parser
 is the only place a flag or its default lives.  Every output file records
 exactly its subcommand's flags (and the command) in its header, so the header
@@ -43,7 +44,8 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *model_flags):
+    def common(sp, runner, *model_flags):
+        sp.set_defaults(run=runner)
         for flag in model_flags:
             sp.add_argument(f"--{flag}", **_MODEL_FLAGS[flag])
         sp.add_argument("--out", dest="out_path", default="out.csv", help="output file")
@@ -56,41 +58,41 @@ def _build_parser():
         )
 
     sp = sub.add_parser("delay", help="analytic inter-emission density curve")
-    common(sp, "omega", "gamma")
+    common(sp, _run_delay, "omega", "gamma")
     sp.add_argument("--horizon", type=float, default=None, help="tau-grid span")
     sp.add_argument("--n", type=int, default=2000, help="tau-grid points")
 
     sp = sub.add_parser("pde", help="forward-equation solve (population series)")
-    common(sp, "omega", "gamma", "theta0")
+    common(sp, _run_pde, "omega", "gamma", "theta0")
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=pde.DEFAULT_N_CELLS)
     sp.add_argument("--horizon", type=float, default=10.0, help="end time")
     sp.add_argument("--dt", type=float, default=None, help="time step (default: stable)")
 
     sp = sub.add_parser("mc", help="Monte Carlo trajectory ensemble")
-    common(sp, "omega", "gamma", "theta0", "seed", "semantics")
+    common(sp, _run_mc, "omega", "gamma", "theta0", "seed", "semantics")
     sp.add_argument("--n", type=int, default=1000, help="number of trajectories")
     sp.add_argument("--horizon", type=float, default=20.0)
 
     sp = sub.add_parser("baseline", help="truncated-Lindblad delay function curve")
-    common(sp, "omega", "gamma")
+    common(sp, _run_baseline, "omega", "gamma")
     sp.add_argument("--horizon", type=float, default=None, help="tau-grid span")
     sp.add_argument("--n", type=int, default=2000, help="tau-grid points")
 
     sp = sub.add_parser("sweep", help="mean-delay scaling sweep over gamma")
-    common(sp, "omega")
+    common(sp, _run_sweep, "omega")
     sp.add_argument("--gamma-min", type=float, default=None, help="default 4*omega")
     sp.add_argument("--gamma-max", type=float, default=None, help="default 64*omega")
     sp.add_argument("--sweep-points", type=int, default=9)
 
     sp = sub.add_parser("fig1", help="waiting-time vs delay-function comparison curves")
-    common(sp, "gamma")
+    common(sp, _run_fig1, "gamma")
     sp.add_argument("--panel", choices=["a", "b", "both"], default="both")
     sp.add_argument("--n", type=int, default=4000, help="tau-grid points")
 
     sp = sub.add_parser(
         "duality", help="Monte Carlo vs forward-equation L1 by ensemble size"
     )
-    common(sp, "omega", "gamma", "seed")
+    common(sp, _run_duality, "omega", "gamma", "seed")
     sp.add_argument("--grid-n", dest="grid_n", type=int)
     sp.add_argument("--horizon", type=float, help="time at which the laws are compared")
     sp.add_argument("--sizes", type=int, nargs="+", help="ensemble sizes")
@@ -246,12 +248,9 @@ def _run_duality(ns):
     # Courant number 1 unless gamma*dt or the horizon's steps need less: at 1,
     # transport is an exact shift and the PDE error is source/sink error alone.
     # 2 w / omega as in pde.max_stable_dt: a tiny omega overflows it to inf,
-    # where halving omega would divide by 0.  A stride of MAX_STEPS keeps only
-    # the first and last snapshots
+    # where halving omega would divide by 0
     dt = min(2.0 * grid.cell_width / params.omega, pde.MAX_GAMMA_DT / params.gamma)
-    reference = pde.solve(
-        params, grid, ns.horizon, dt, snapshot_stride=core.MAX_STEPS
-    ).final.values
+    reference = pde.solve(params, grid, ns.horizon, dt).final.values
     l1 = []
     for n in ns.sizes:
         hist = mc.histogram_from_angles(angles[n], grid)
@@ -269,11 +268,11 @@ def _run_duality(ns):
 def _write(ns, outputs):
     """Write each (columns, scalars) output; several get one file per panel.
 
-    The header is the parsed flags without --out and --no-timestamp.
+    The header is the parsed flags without --out, --no-timestamp and the runner.
     """
     if not isinstance(outputs, list):
         outputs = [outputs]
-    header = {k: v for k, v in vars(ns).items() if k not in ("out_path", "timestamp")}
+    header = {k: v for k, v in vars(ns).items() if k not in ("out_path", "timestamp", "run")}
     writer = io.write_csv if ns.format == "csv" else io.write_json
     for columns, scalars in outputs:
         path = ns.out_path
@@ -284,23 +283,12 @@ def _write(ns, outputs):
         writer(path, columns, scalars, header, ns.timestamp)
 
 
-_RUNNERS = {
-    "delay": _run_delay,
-    "pde": _run_pde,
-    "mc": _run_mc,
-    "baseline": _run_baseline,
-    "sweep": _run_sweep,
-    "fig1": _run_fig1,
-    "duality": _run_duality,
-}
-
-
 def run(ns: argparse.Namespace) -> int:
     try:
         horizon = getattr(ns, "horizon", None)  # None: the auto span
         if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
             raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-        _write(ns, _RUNNERS[ns.command](ns))
+        _write(ns, ns.run(ns))
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"qjump {ns.command}: {exc}", file=sys.stderr)
         return 2

@@ -145,7 +145,7 @@ def _secular_time(params: ModelParams, exponent):
     if params.omega == 0:
         raise ValueError(
             "the waiting-time law requires omega > 0; "
-            "use the no_pump_* functions for an unpumped atom"
+            "use no_pump_excited_population for an unpumped atom"
         )
     return (8.0 / (3.0 * params.gamma)) * (exponent + params.gamma / params.omega)
 

@@ -79,6 +79,8 @@ class ThetaGrid:
 
     def cell_of(self, theta):
         """Cell of the reduced angle theta, elementwise on arrays; pi/2 wraps to 0."""
+        if not np.isfinite(theta).all():
+            raise ValueError("theta must be finite, got NaN or inf")
         index = (reduce_angle(theta) + HALF_PI) // self.cell_width % self.n_cells
         return index.astype(int) if isinstance(index, np.ndarray) else int(index)
 
@@ -376,8 +378,8 @@ def solve(
 
     The solve takes the n_steps equal steps of t_end/n_steps that
     core.time_steps counts, so it ends exactly at t_end with a step no longer
-    than dt (to 1e-13).  Snapshots are
-    kept every snapshot_stride steps (default n_steps // 100) and at t_end.
+    than dt (to 1e-13).  Snapshots are kept every snapshot_stride steps and
+    at t_end; by default there are two, at 0 and t_end.
     The not-yet-jumped point mass moves analytically along its characteristic
     with exact survival decay, and only the post-jump part lives on the grid,
     which starts empty: grid schemes smear a transported delta, and at
@@ -388,7 +390,7 @@ def solve(
     n_steps, dt = time_steps(t_end, dt)
     op = StepOperator(params, grid, dt)
     if snapshot_stride is None:
-        snapshot_stride = max(1, n_steps // 100)
+        snapshot_stride = n_steps
     if not (isinstance(snapshot_stride, numbers.Integral) and snapshot_stride >= 1):
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
     # a longer stride keeps the same two snapshots, and keeps np.arange's steps integers

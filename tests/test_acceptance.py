@@ -25,14 +25,11 @@ def report(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def cfl1_solve(params, grid, t_end, snapshot_stride=None):
+def cfl1_solve(params, grid, t_end):
     """Solve with Courant number as close to 1 as t_end allows."""
     dt0 = grid.cell_width / (0.5 * params.omega)
     n = int(np.ceil(t_end / dt0))
-    dt = t_end / n
-    if snapshot_stride is None:
-        snapshot_stride = n
-    return pde.solve(params, grid, t_end, dt, snapshot_stride=snapshot_stride)
+    return pde.solve(params, grid, t_end, t_end / n)
 
 
 def test_criterion_1_no_pump_decay():

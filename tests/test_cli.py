@@ -580,14 +580,24 @@ def test_json_config_regenerates_output(tmp_path, command):
     assert run_into(tmp_path / "again", argv_from_config(config), "json") == first
 
 
+def subcommands():
+    """{name: subparser} of every subcommand the parser declares."""
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_subcommand_carries_its_runner():
+    names = list(subcommands())
+    assert names == ["delay", "pde", "mc", "baseline", "sweep", "fig1", "duality"]
+    for name in names:
+        assert cli.parse_config([name]).run is getattr(cli, f"_run_{name}")
+
+
 def numeric_flags():
     """(command, flag, value): float flags get nan, +-inf, 0 and -1; ints 0, -1."""
-    parser = cli._build_parser()
-    subcommands = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
     values = {float: ["nan", "inf", "-inf", "0", "-1"], int: ["0", "-1"]}
-    for command, sub in subcommands.choices.items():
+    for command, sub in subcommands().items():
         for action in sub._actions:
             for value in values.get(action.type, []):
                 yield command, action.option_strings[0], value

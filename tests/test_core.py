@@ -99,8 +99,11 @@ class TestWaitingTime:
             core.waiting_time_normalization,
             core.mean_waiting_time,
         ):
-            with pytest.raises(ValueError, match="requires omega > 0"):
+            with pytest.raises(ValueError, match="requires omega > 0") as refusal:
                 law(p)
+            # the refusal names the unpumped law, which exists
+            assert "no_pump_excited_population" in str(refusal.value)
+            assert callable(core.no_pump_excited_population)
 
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,15 @@ class TestGrid:
         assert cells.tolist() == [g.cell_of(float(t)) for t in theta]
         assert cells[:5].tolist() == [0, 0, 0, g.source_index, 63]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, "array"])
+    def test_cell_of_refuses_non_finite(self, theta):
+        g = ThetaGrid(64)
+        if theta == "array":
+            theta = np.array([0.1, math.nan, math.inf, -math.inf])
+        with pytest.raises(ValueError, match="theta"):
+            g.cell_of(theta)
+
     def test_equality_is_identity(self):
         g = ThetaGrid(64)
         assert (g == ThetaGrid(64)) is False
@@ -235,6 +244,22 @@ class TestSolve:
         r = pde.solve(p, g, 10.0, pde.max_stable_dt(p, g))
         exact = core.no_pump_excited_population(r.times, p)
         assert np.max(np.abs(r.rho1 - exact)) < 1e-3
+
+    @pytest.mark.parametrize(
+        "n_steps, n_cells, want_path",
+        [(1, 64, "stencil"), (150, 256, "stencil"), (2000, 128, "blocks")],
+    )
+    def test_default_keeps_the_two_ends(self, n_steps, n_cells, want_path):
+        assert path(n_steps, n_cells) == want_path
+        p, g = ModelParams(3.33, 1.0, 0.3), ThetaGrid(n_cells)
+        dt = pde.max_stable_dt(p, g)
+        t_end = n_steps * dt
+        r = pde.solve(p, g, t_end, dt)
+        assert r.times.size == n_steps + 1
+        assert r.table.shape == (2, n_cells) and len(r.snapshots) == 2
+        assert r.snapshot_times.tolist() == [0.0, t_end]
+        assert r.table[0].tolist() == spike(g, 0.3).tolist()
+        assert r.final.values.tobytes() == r.table[1].tobytes()
 
     def test_mass_conserved_at_every_sample(self):
         p = ModelParams(3.33, 1.0)
@@ -611,7 +636,7 @@ SOLVE_RUNS = {
     "stencil_stride1": (ModelParams(3.33, 1.0), 256, 2000, 1),
     "stencil_stride7": (ModelParams(3.33, 1.0, 0.3), 256, 150, 7),
     "blocks": (ModelParams(3.33, 1.0, -0.7), 128, 2000, 400),
-    "no_pump": (ModelParams(0.0, 1.0, math.pi / 4), 256, 10.0, None),
+    "no_pump": (ModelParams(0.0, 1.0, math.pi / 4), 256, 10.0, 1),
     "fill": (ModelParams(3.33, 1.0, -0.7), 128, 1000, 1),
 }
 # the path each run takes; a block-size rule that moves one shows here first
@@ -654,7 +679,7 @@ def solve_run(name):
     g = ThetaGrid(n_cells)
     dt = pde.max_stable_dt(p, g)
     r = pde.solve(p, g, t_end * dt if isinstance(t_end, int) else t_end, dt, stride)
-    return r, g, p, stride or max(1, (r.times.size - 1) // 100)
+    return r, g, p, stride
 
 
 class TestBitIdentity:
